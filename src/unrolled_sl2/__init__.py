@@ -3,10 +3,7 @@ renormalized tangle invariants, deformation-limit invariants on projective
 colors, and singlet-side regularized dimensions with fusion data."""
 
 from .jets import Jet, OrderError, PoleError, as_jet, jet
-from .qnum import (
-    JetScalar, QContext, eps_jet, jet_derivative, jet_limit, qbracket, qfact,
-    qint, qpow,
-)
+from .qnum import QContext, qbracket, qfact, qint, qpow
 from .rep import (
     DeformX, Dual, LinearMap, ModuleLabel, OneDim, Projective, RangeError,
     SelfExt, Simple, SingularError, Sum, Tensor, Typical, WeightModule,
@@ -16,8 +13,8 @@ from .rep import (
 )
 from .ribbon import (
     CalibrationError, NonScalarError, NotProjectiveError, RibbonConfig,
-    braiding, braiding_matrix, calibrate, get_config, hopf_closed_form,
-    modified_dim, modified_trace, open_hopf, scalar_of, structure_maps, twist,
+    braiding_matrix, calibrate, get_config, hopf_closed_form, modified_dim,
+    modified_trace, scalar_of,
 )
 from .tangle import (
     BasisError, EndoDecomp, NotEndomorphismError, TangleExpr, TangleSyntaxError,

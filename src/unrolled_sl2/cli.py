@@ -20,14 +20,16 @@ from .rep import (
     DeformX, OneDim, Projective, SelfExt, Simple, Typical, format_label,
     make_module, module_dump, verify_relations,
 )
-from .ribbon import calibrate, get_config, hopf_closed_form, scalar_of
+from .ribbon import (
+    NotProjectiveError, calibrate, get_config, hopf_closed_form, modified_trace,
+    scalar_of,
+)
 from .singlet import (
     BoundaryError, DomainError, RegimeError, compare_hopf_qdim, fuse,
     parse_complex, parse_singlet_label, qdim_reg, regime_of, format_singlet_label,
 )
 from .tangle import eval_tangle, hopf_tangle, parse_color, parse_tangle
 from .deform import MismatchError, log_hopf_closed, log_tangle_invariant
-from .ribbon import modified_trace
 
 SCHEMA = "unrolled-sl2/1"
 
@@ -61,18 +63,9 @@ def _add_common(p):
 
 def cmd_calibrate(args) -> int:
     cfg = calibrate(_ctx(args))
-    _emit({
-        "command": "calibrate",
-        "r": args.r,
-        "pivot_exponent": cfg.pivot_exponent,
-        "coproduct_variant": cfg.coproduct_variant,
-        "max_rel_error": _num(cfg.record["max_rel_error"]),
-        "tried": [
-            {"pivot_exponent": t["pivot_exponent"], "coproduct_variant": t["coproduct_variant"],
-             "max_rel_error": _num(min(t["max_rel_error"], 1e300))}
-            for t in cfg.record["tried"]
-        ],
-    })
+    convention = {"pivot_exponent": cfg.pivot_exponent, "coproduct_variant": "EK",
+                  "max_rel_error": _num(cfg.max_rel_error)}
+    _emit({"command": "calibrate", "r": args.r, **convention, "tried": [convention]})
     return 0
 
 
@@ -246,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "regularized dimension tables at even roots of unity.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("calibrate", help="select pivot/coproduct from the Hopf anchors")
+    p = sub.add_parser("calibrate", help="check the ribbon convention against the Hopf anchors")
     _add_common(p)
     p.set_defaults(fn=cmd_calibrate)
 
@@ -335,7 +328,8 @@ def main(argv=None) -> int:
             ap.error("--j is required in strip mode")
     try:
         return args.fn(args)
-    except (DomainError, BoundaryError, RegimeError, ValueError, SyntaxError) as exc:
+    except (DomainError, BoundaryError, RegimeError, NotProjectiveError, ValueError,
+            SyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MismatchError as exc:

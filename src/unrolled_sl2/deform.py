@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jets import Jet
-from .qnum import QContext, jet_derivative, jet_limit, qbracket, qint, qpow
+from .qnum import QContext, qbracket, qint, qpow
 from .rep import (
-    DeformX, OneDim, Projective, Simple, Typical, make_deformable, make_module,
-    mat_limit,
+    DeformX, OneDim, Projective, RangeError, Simple, Typical, make_deformable,
+    make_module, mat_limit,
 )
 from .ribbon import RibbonConfig, modified_dim, scalar_of
 from .tangle import EndoDecomp, TangleExpr, decompose_endo, eval_tangle, hopf_tangle
@@ -52,12 +52,17 @@ class LogInvariantResult:
     residual_cross_check: float
 
 
-def _open_indices(label):
+def _open_indices(ctx: QContext, label):
+    """(i, l) of a projective-cover open color, with 0 <= i <= r - 2."""
     if isinstance(label, Projective):
-        return label.i, label.k
-    if isinstance(label, DeformX) and not isinstance(label.eps, Jet) and label.eps == 0:
-        return label.i, label.l
-    raise TypeError(f"open color must be a projective cover, got {label!r}")
+        i, l = label.i, label.k
+    elif isinstance(label, DeformX) and not isinstance(label.eps, Jet) and label.eps == 0:
+        i, l = label.i, label.l
+    else:
+        raise TypeError(f"open color must be a projective cover, got {label!r}")
+    if not 0 <= i <= ctx.r - 2:
+        raise RangeError(f"projective index must lie in 0..{ctx.r - 2}, got {i}")
+    return i, l
 
 
 def _summand_weights(ctx: QContext, i: int, l: int):
@@ -73,7 +78,7 @@ def log_tangle_invariant(cfg: RibbonConfig, expr: TangleExpr) -> LogInvariantRes
     cross-checked to 1e-7 relative.
     """
     ctx = cfg.ctx
-    i, l = _open_indices(expr.open_color)
+    i, l = _open_indices(ctx, expr.open_color)
     lam_m, lam_p = _summand_weights(ctx, i, l)
     e = ctx.eps()
     gm = _recolored_scalar(cfg, expr, lam_m + e)
@@ -85,21 +90,21 @@ def log_tangle_invariant(cfg: RibbonConfig, expr: TangleExpr) -> LogInvariantRes
     # cancellation floors: a quantity whose value is genuinely zero leaves
     # only rounding noise behind, which must not masquerade as a pole
     floor_t = ctx.tol * max(1.0, tm.norm(), tp.norm())
-    trace = jet_limit(tm + tp, ctx.tol, atol=floor_t)
+    trace = (tm + tp).limit(ctx.tol, atol=floor_t)
 
     floor_g = ctx.tol * max(1.0, gm.norm(), gp.norm())
-    am = jet_limit(gm, ctx.tol, atol=floor_g)
-    ap = jet_limit(gp, ctx.tol, atol=floor_g)
+    am = gm.limit(ctx.tol, atol=floor_g)
+    ap = gp.limit(ctx.tol, atol=floor_g)
     if abs(am - ap) > 1e-8 * max(1.0, abs(am)):
         raise CrossCheckError(f"identity coefficient limits disagree: {am} vs {ap}")
     a = (am + ap) / 2
 
     num = (gm - gp).normalized(ctx.tol, atol=floor_g)
-    b = jet_limit(num / (qint(ctx, 1 + i) * qint(ctx, e)), ctx.tol, atol=floor_g)
+    b = (num / (qint(ctx, 1 + i) * qint(ctx, e))).limit(ctx.tol, atol=floor_g)
     br1 = qbracket(ctx, 1)
     b_deriv = (ctx.r * br1 ** 2 / (2j * np.pi * qbracket(ctx, 1 + i))
-               * (jet_derivative(gm, 1, ctx.tol, atol=floor_g)
-                  - jet_derivative(gp, 1, ctx.tol, atol=floor_g)))
+               * (gm.derivative(1, ctx.tol, atol=floor_g)
+                  - gp.derivative(1, ctx.tol, atol=floor_g)))
     resid = abs(b - b_deriv) / max(1.0, abs(b))
     if resid > 1e-7:
         raise CrossCheckError(
@@ -122,7 +127,7 @@ def log_endomorphism(cfg: RibbonConfig, expr: TangleExpr):
     structure maps with limits, so a PoleError here flags a real defect.
     """
     ctx = cfg.ctx
-    i, l = _open_indices(expr.open_color)
+    i, l = _open_indices(ctx, expr.open_color)
     xj = make_deformable(ctx, i, l, ctx.eps())
     lm = eval_tangle(cfg, expr, open_module=xj)
     endo = mat_limit(lm.matrix)
@@ -189,6 +194,6 @@ class DimLimitReport:
 
 def dim_limit_check(ctx: QContext, i: int, l: int) -> DimLimitReport:
     """Limit of the family's modified dimension against the projective closed form."""
-    jv = jet_limit(modified_dim(ctx, DeformX(i, l, ctx.eps())))
+    jv = modified_dim(ctx, DeformX(i, l, ctx.eps())).limit()
     cf = modified_dim(ctx, Projective(i, l))
     return DimLimitReport(jv, cf, abs(jv - cf))

@@ -65,15 +65,6 @@ class Jet:
     def shape(self):
         return self.c.shape[1:]
 
-    @property
-    def valuation(self) -> int:
-        return self.val
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        """Coefficient stack, leading coefficient first."""
-        return self.c
-
     def __repr__(self):
         if self.shape == ():
             terms = ", ".join(f"{z:.6g}" for z in self.c[:4].tolist())
@@ -83,11 +74,12 @@ class Jet:
 
     # -- normalization ---------------------------------------------------
 
-    def scale(self) -> float:
+    def norm(self) -> float:
+        """Max absolute entry over all coefficient slices."""
         return float(np.max(np.abs(self.c))) if self.c.size else 0.0
 
     def is_zero(self) -> bool:
-        return self.scale() == 0.0
+        return self.norm() == 0.0
 
     def normalized(self, ztol: float = _ZTOL, atol: float = 0.0) -> "Jet":
         """Shift the valuation past leading coefficient slices that vanish.
@@ -100,7 +92,7 @@ class Jet:
         points (limit, derivative) and explicit calls; addition uses the
         narrower operand-relative rule of __add__.
         """
-        s = self.scale()
+        s = self.norm()
         if s == 0.0 or s <= atol:
             return Jet(np.zeros((1, *self.shape)), 0)
         thresh = max(ztol * s, atol)
@@ -124,6 +116,8 @@ class Jet:
     @staticmethod
     def _aligned(a: "Jet", b: "Jet"):
         """Common-valuation stacks truncated to the shared precision range."""
+        if a.val == b.val and a.order == b.order and a.shape == b.shape:
+            return a.val, a.c, b.c
         val = min(a.val, b.val)
         prec = min(a.val + a.order, b.val + b.order)
         n = max(prec - val, 1)
@@ -152,12 +146,10 @@ class Jet:
         other = self._promote(other)
         val, ca, cb = self._aligned(self, other)
         c = ca + cb
-        cancelled = np.all(np.abs(c) <= _ZTOL * (np.abs(ca) + np.abs(cb)),
-                           axis=tuple(range(1, c.ndim)))
-        if cancelled.all():
-            return Jet(np.zeros((1, *c.shape[1:])), 0)
-        k = int(np.argmin(cancelled))
-        return Jet(c[k:], val + k)
+        for k in range(len(c)):
+            if not np.all(np.abs(c[k]) <= _ZTOL * (np.abs(ca[k]) + np.abs(cb[k]))):
+                return Jet(c[k:], val + k)
+        return Jet(np.zeros((1, *c.shape[1:])), 0)
 
     __radd__ = __add__
 
@@ -282,12 +274,9 @@ class Jet:
         c[0] = np.eye(n)
         return Jet(c, 0)
 
-    def transpose(self) -> "Jet":
-        return Jet(np.swapaxes(self.c, -1, -2), self.val)
-
     @property
     def T(self) -> "Jet":
-        return self.transpose()
+        return Jet(np.swapaxes(self.c, -1, -2), self.val)
 
     def trace(self) -> "Jet":
         return Jet(np.trace(self.c, axis1=-2, axis2=-1), self.val)
@@ -313,10 +302,6 @@ class Jet:
                 acc += j.c[i] @ out[k - i]
             out[k] = -x0 @ acc
         return Jet(out, -j.val)
-
-    def norm(self) -> float:
-        """Max absolute entry over all coefficient slices."""
-        return self.scale()
 
     # -- evaluation and limits ------------------------------------------------
 

@@ -14,14 +14,7 @@ import numpy as np
 
 from .jets import Jet, OrderError, PoleError, jet
 
-__all__ = [
-    "QContext", "PoleError", "OrderError", "JetScalar",
-    "qpow", "qbracket", "qint", "qfact", "jet_limit", "jet_derivative", "eps_jet",
-]
-
-# The jet type playing the role of a scalar extended by a truncated
-# Laurent series in eps; rank-0 jets are the scalar case.
-JetScalar = Jet
+__all__ = ["QContext", "PoleError", "OrderError", "qpow", "qbracket", "qint", "qfact"]
 
 
 @dataclass(frozen=True)
@@ -45,11 +38,6 @@ class QContext:
     def eps(self) -> Jet:
         """A fresh formal small parameter at this context's jet order."""
         return jet(self.jet_order)
-
-
-def eps_jet(ctx: QContext) -> Jet:
-    """The seed jet eps for this context."""
-    return ctx.eps()
 
 
 def qpow(ctx: QContext, x):
@@ -81,24 +69,3 @@ def qfact(ctx: QContext, n: int):
     for k in range(1, n + 1):
         out *= qint(ctx, k)
     return out
-
-
-def jet_limit(j, ztol: float = 1e-9, atol: float = 0.0):
-    """eps -> 0 limit of a jet (or pass-through for plain numbers).
-
-    Raises PoleError when the normalized valuation is negative, which in
-    this artifact always signals a broken convention upstream: every
-    deformation limit the invariants use is finite by construction.
-    """
-    if isinstance(j, Jet):
-        return j.limit(ztol, atol)
-    return complex(j)
-
-
-def jet_derivative(j, n: int, ztol: float = 1e-9, atol: float = 0.0):
-    """n-th derivative at eps = 0: n! times the overall eps^n coefficient."""
-    if not isinstance(j, Jet):
-        if n == 0:
-            return complex(j)
-        return 0j
-    return j.derivative(n, ztol, atol)

@@ -301,8 +301,7 @@ def _from_weights(ctx, label, dim, weights, e_entries, f_entries) -> WeightModul
     F = _assemble(dim, f_entries)
     H = _assemble(dim, [(t, t, w) for t, w in enumerate(weights)])
     K = _assemble(dim, [(t, t, qpow(ctx, w)) for t, w in enumerate(weights)])
-    Kinv = _assemble(dim, [(t, t, qpow(ctx, -1 * w) if isinstance(w, Jet) else qpow(ctx, -w))
-                           for t, w in enumerate(weights)])
+    Kinv = _assemble(dim, [(t, t, qpow(ctx, -w)) for t, w in enumerate(weights)])
     return WeightModule(ctx, label, dim, E, F, K, Kinv, H, list(weights))
 
 
@@ -394,8 +393,7 @@ def make_deformable(ctx: QContext, i: int, l: int, eps) -> WeightModule:
 
     h = [(t, t, w) for t, w in enumerate(weights)]
     kk = [(t, t, sgn * qpow(ctx, kv + eps)) for (t, kv) in idx_weight]
-    kinv = [(t, t, sgn * (qpow(ctx, -1 * (kv + eps)) if isinstance(eps, Jet)
-                          else qpow(ctx, -(kv + eps)))) for (t, kv) in idx_weight]
+    kinv = [(t, t, sgn * qpow(ctx, -(kv + eps))) for (t, kv) in idx_weight]
 
     f = []
     for k in range(-i + 2, i + 1, 2):
@@ -442,26 +440,19 @@ def make_deformable(ctx: QContext, i: int, l: int, eps) -> WeightModule:
 # tensor / dual / sums
 
 
-def tensor(m: WeightModule, n: WeightModule, variant: str = "EK") -> WeightModule:
-    """Tensor product module under the coproduct.
+def tensor(m: WeightModule, n: WeightModule) -> WeightModule:
+    """Tensor product module under the coproduct of the ribbon convention.
 
-    variant "EK": E -> 1 x E + E x K, F -> K^-1 x F + F x 1 (the calibrated
-    convention); variant "KE": the opposite one, kept as the documented
-    fallback.
+    E -> 1 x E + E x K and F -> K^-1 x F + F x 1; ribbon.calibrate checks
+    this convention against the Hopf anchors.
     """
     if m.ctx.r != n.ctx.r:
         raise ValueError("tensor factors must share a context")
     dim = m.dim * n.dim
     Im = np.eye(m.dim, dtype=complex)  # _kron promotes against jet factors
     In = np.eye(n.dim, dtype=complex)
-    if variant == "EK":
-        E = _kron(Im, n.E) + _kron(m.E, n.K)
-        F = _kron(m.Kinv, n.F) + _kron(m.F, In)
-    elif variant == "KE":
-        E = _kron(m.E, In) + _kron(m.K, n.E)
-        F = _kron(Im, n.F) + _kron(m.F, n.Kinv)
-    else:
-        raise ValueError(f"unknown coproduct variant {variant!r}")
+    E = _kron(Im, n.E) + _kron(m.E, n.K)
+    F = _kron(m.Kinv, n.F) + _kron(m.F, In)
     K = _kron(m.K, n.K)
     Kinv = _kron(m.Kinv, n.Kinv)
     H = _kron(m.H, In) + _kron(Im, n.H)
@@ -476,7 +467,7 @@ def dual(m: WeightModule) -> WeightModule:
     K = _transpose(m.Kinv)
     Kinv = _transpose(m.K)
     H = -1 * _transpose(m.H)
-    weights = [-1 * w if isinstance(w, Jet) else -w for w in m.weights]
+    weights = [-w for w in m.weights]
     return WeightModule(m.ctx, Dual(m.label), m.dim, E, F, K, Kinv, H, weights)
 
 
@@ -566,8 +557,7 @@ def _qh_equals_k_residual(m: WeightModule) -> float:
     ctx = m.ctx
     if m.is_jet:
         # jet modules in this artifact always have diagonal H
-        qh = _assemble(m.dim, [(t, t, qpow(ctx, w) if isinstance(w, Jet) else qpow(ctx, w))
-                               for t, w in enumerate(m.weights)])
+        qh = _assemble(m.dim, [(t, t, qpow(ctx, w)) for t, w in enumerate(m.weights)])
         return _rel_residual([qh, -1 * m.K])
     H = np.asarray(m.H)
     if np.max(np.abs(H - np.diag(np.diag(H)))) < 1e-14:

@@ -1,12 +1,12 @@
 """Braiding, twist, dualities, modified trace: the ribbon data behind all invariants.
 
-The braiding acts on a pair of weight modules as the weight-diagonal
-q^(H x H / 2) composed with the nilpotent tail sum over E^n x F^n and the
-flip; the tail truncates exactly at n = r - 1 because E^r = F^r = 0.  The
-right duality carries a pivot K^p whose exponent, together with the
-coproduct orientation, is fixed once per context by calibrating the open
-Hopf link against its three closed-form values; all invariants downstream
-read that calibrated configuration.
+The ribbon convention is fixed: the coproduct E -> 1 x E + E x K (see
+rep.tensor) and the pivot K^(1-r) on the right duality.  The braiding acts
+on a pair of weight modules as the weight-diagonal q^(H x H / 2) composed
+with the nilpotent tail sum over E^n x F^n and the flip; the tail
+truncates exactly at n = r - 1 because E^r = F^r = 0.  calibrate() checks
+the convention once per context: open Hopf links evaluated by the tangle
+engine must match their closed forms on a sample battery.
 
 The modified trace is normalized on the weight-0 generic module and
 evaluated through its closed-form modified dimensions; on indecomposable
@@ -16,7 +16,7 @@ deformation limit (see the deform module).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,19 +24,18 @@ from .jets import Jet, as_jet
 from .qnum import QContext, qbracket, qint, qpow
 from .rep import (
     DeformX, LinearMap, OneDim, Projective, Simple, Sum, Typical, WeightModule,
-    _assemble, dual, make_module, tensor,
+    _assemble, _kron,
 )
 
 __all__ = [
     "CalibrationError", "NotProjectiveError", "NonScalarError",
-    "RibbonConfig", "calibrate", "get_config",
-    "braiding", "braiding_matrix", "twist", "structure_maps", "open_hopf",
+    "RibbonConfig", "calibrate", "get_config", "braiding_matrix",
     "hopf_closed_form", "modified_dim", "modified_trace", "scalar_of",
 ]
 
 
 class CalibrationError(RuntimeError):
-    """No ribbon convention reproduced the anchor identities."""
+    """The fixed ribbon convention failed the Hopf anchor identities."""
 
 
 class NotProjectiveError(TypeError):
@@ -49,21 +48,22 @@ class NonScalarError(ValueError):
 
 @dataclass
 class RibbonConfig:
-    """Pivot exponent and coproduct orientation, plus the calibration record."""
+    """The ribbon convention on a context, with the worst anchor error of its check."""
 
     ctx: QContext
-    pivot_exponent: int
-    coproduct_variant: str = "EK"
-    calibrated: bool = False
-    strict: bool = False
-    record: dict = field(default_factory=dict)
+    max_rel_error: float = 0.0
+
+    @property
+    def pivot_exponent(self) -> int:
+        """Exponent p of the pivot K^p on the right duality."""
+        return 1 - self.ctx.r
 
 
 _CONFIG_CACHE: dict = {}
 
 
 def get_config(ctx: QContext) -> RibbonConfig:
-    """Calibrated configuration for this context (computed once and cached)."""
+    """Checked configuration for this context (calibrated once and cached)."""
     key = (ctx.r, ctx.tol, ctx.jet_order)
     if key not in _CONFIG_CACHE:
         _CONFIG_CACHE[key] = calibrate(ctx)
@@ -75,14 +75,11 @@ def get_config(ctx: QContext) -> RibbonConfig:
 
 
 def _pivot_matrix(cfg: RibbonConfig, m: WeightModule):
-    """K^p on the module, p the calibrated pivot exponent."""
+    """K^p on the module, p = cfg.pivot_exponent (never 0)."""
     p = cfg.pivot_exponent
-    base = m.K if p >= 0 else m.Kinv
-    n = abs(p)
-    if n == 0:
-        return np.eye(m.dim, dtype=complex) if not m.is_jet else Jet.eye(m.dim, base.order)
+    base = m.K if p > 0 else m.Kinv
     out = base
-    for _ in range(n - 1):
+    for _ in range(abs(p) - 1):
         out = out @ base
     return out
 
@@ -104,55 +101,37 @@ def _cartan_part(ctx: QContext, m: WeightModule, n: WeightModule):
     return _assemble(m.dim * n.dim, entries)
 
 
-def _kron2(a, b):
-    if isinstance(a, Jet) or isinstance(b, Jet):
-        if not isinstance(a, Jet):
-            a = as_jet(a, b.order)
-        return a.kron(b)
-    return np.kron(a, b)
-
-
-def _tail_part(ctx: QContext, m: WeightModule, n: WeightModule, variant: str):
-    """Sum over n of ({1}^n / [n]!) q^(n(n-1)/2) E^n x F^n (or flipped)."""
+def _tail_part(ctx: QContext, m: WeightModule, n: WeightModule):
+    """Sum over n of ({1}^n / [n]!) q^(n(n-1)/2) E^n x F^n."""
     br1 = qbracket(ctx, 1)
     dim = m.dim * n.dim
-    acc = _kron2(np.eye(m.dim, dtype=complex), np.eye(n.dim, dtype=complex))
     if m.is_jet or n.is_jet:
-        order = (m.E.order if m.is_jet else n.E.order)
-        acc = Jet.eye(dim, order)
-    Em = m.E if variant == "EK" else m.F
-    Fn = n.F if variant == "EK" else n.E
+        acc = Jet.eye(dim, m.E.order if m.is_jet else n.E.order)
+    else:
+        acc = np.eye(dim, dtype=complex)
     fact = 1.0 + 0j
-    Ep, Fp = Em, Fn
+    Ep, Fp = m.E, n.F
     for k in range(1, ctx.r):
         fact *= qint(ctx, k)
         coef = br1 ** k / fact * qpow(ctx, k * (k - 1) / 2)
-        acc = acc + coef * _kron2(Ep, Fp)
+        acc = acc + coef * _kron(Ep, Fp)
         if k < ctx.r - 1:
-            Ep = Ep @ Em
-            Fp = Fp @ Fn
+            Ep = Ep @ m.E
+            Fp = Fp @ n.F
     return acc
 
 
 def braiding_matrix(cfg: RibbonConfig, m: WeightModule, n: WeightModule, sign: int = 1):
     """Matrix of the braiding M x N -> N x M (sign = -1 for the inverse crossing)."""
-    if cfg.strict and not cfg.calibrated:
-        raise CalibrationError("braiding requested from an uncalibrated strict config")
     ctx = cfg.ctx
     if sign == 1:
         D = _cartan_part(ctx, m, n)
-        T = _tail_part(ctx, m, n, cfg.coproduct_variant)
+        T = _tail_part(ctx, m, n)
         P = _flip_matrix(m.dim, n.dim)
         R = D @ T
         return P @ R if not isinstance(R, Jet) else as_jet(P, R.order) @ R
     c = braiding_matrix(cfg, n, m, 1)
     return c.inv() if isinstance(c, Jet) else np.linalg.inv(c)
-
-
-def braiding(cfg: RibbonConfig, m: WeightModule, n: WeightModule, sign: int = 1) -> LinearMap:
-    mat = braiding_matrix(cfg, m, n, sign)
-    return LinearMap(tensor(m, n, cfg.coproduct_variant),
-                     tensor(n, m, cfg.coproduct_variant), mat)
 
 
 def twist_matrix(cfg: RibbonConfig, m: WeightModule, sign: int = 1):
@@ -174,16 +153,8 @@ def twist_matrix(cfg: RibbonConfig, m: WeightModule, sign: int = 1):
     return th
 
 
-def twist(cfg: RibbonConfig, m: WeightModule, sign: int = 1) -> LinearMap:
-    return LinearMap(m, m, twist_matrix(cfg, m, sign))
-
-
 # ---------------------------------------------------------------------------
 # dualities
-
-
-def _unit_module(ctx: QContext) -> WeightModule:
-    return make_module(ctx, OneDim(0))
 
 
 def ev_left(cfg, m: WeightModule):
@@ -216,63 +187,6 @@ def coev_right(cfg, m: WeightModule):
     if isinstance(Gi, Jet):
         return Jet(np.swapaxes(Gi.c, -1, -2).reshape(Gi.order, d * d, 1), Gi.val)
     return np.asarray(Gi).T.reshape(d * d, 1)
-
-
-def structure_maps(cfg: RibbonConfig, m: WeightModule) -> dict:
-    """Twist and the four duality maps as LinearMaps with declared endpoints."""
-    if cfg.strict and not cfg.calibrated:
-        raise CalibrationError("structure maps requested from an uncalibrated strict config")
-    unit = _unit_module(cfg.ctx)
-    md = dual(m)
-    var = cfg.coproduct_variant
-    return {
-        "twist": twist(cfg, m),
-        "ev": LinearMap(tensor(md, m, var), unit, ev_left(cfg, m)),
-        "coev": LinearMap(unit, tensor(m, md, var), coev_left(cfg, m)),
-        "ev_r": LinearMap(tensor(m, md, var), unit, ev_right(cfg, m)),
-        "coev_r": LinearMap(unit, tensor(md, m, var), coev_right(cfg, m)),
-    }
-
-
-# ---------------------------------------------------------------------------
-# open Hopf link directly from the ribbon data
-
-
-def open_hopf(cfg: RibbonConfig, closed: WeightModule, open_: WeightModule):
-    """Endomorphism of the open module from encircling it with the closed one.
-
-    Composite: (Id x ev_r) (c_{closed,open} x Id) (c_{open,closed} x Id)
-    (Id x coev); all maps materialized as dense matrices.
-    """
-    W, V = open_, closed
-    dW, dV = W.dim, V.dim
-    IW = np.eye(dW, dtype=complex)
-    IVd = np.eye(dV, dtype=complex)
-    cov = coev_left(cfg, V)                      # (dV*dV, 1)
-    evr = ev_right(cfg, V)                       # (1, dV*dV)
-    c1 = braiding_matrix(cfg, W, V, 1)           # W x V -> V x W
-    c2 = braiding_matrix(cfg, V, W, 1)           # V x W -> W x V
-    step0 = _kron2(IW, cov)                      # W -> W V V*
-    step1 = _kron2(c1, IVd)
-    step2 = _kron2(c2, IVd)
-    step3 = _kron2(IW, evr)
-    return step3 @ (step2 @ (step1 @ step0))
-
-
-def hopf_closed_form(ctx: QContext, z_label, beta):
-    """Closed-form scalar of the open Hopf link on a generic open color."""
-    br = lambda x: qbracket(ctx, x)
-    if isinstance(z_label, Typical):
-        return br(ctx.r * beta) / br(beta) * qpow(ctx, z_label.alpha * beta)
-    if isinstance(z_label, Simple):
-        return br((z_label.i + 1) * beta) / br(beta) * qpow(ctx, z_label.k * ctx.r * beta)
-    if isinstance(z_label, OneDim):
-        return qpow(ctx, z_label.k * ctx.r * beta)
-    if isinstance(z_label, Projective):
-        i, k = z_label.i, z_label.k
-        return (br(ctx.r * beta) / br(beta) * qpow(ctx, k * ctx.r * beta)
-                * (qpow(ctx, (ctx.r - 1 - i) * beta) + qpow(ctx, -(ctx.r - 1 - i) * beta)))
-    raise TypeError(f"no closed form for closed color {z_label!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -373,44 +287,54 @@ def modified_trace(m: WeightModule, f):
 # calibration
 
 
+def hopf_closed_form(ctx: QContext, z_label, beta):
+    """Closed-form scalar of the open Hopf link on a generic open color."""
+    br = lambda x: qbracket(ctx, x)
+    if isinstance(z_label, Typical):
+        return br(ctx.r * beta) / br(beta) * qpow(ctx, z_label.alpha * beta)
+    if isinstance(z_label, Simple):
+        return br((z_label.i + 1) * beta) / br(beta) * qpow(ctx, z_label.k * ctx.r * beta)
+    if isinstance(z_label, OneDim):
+        return qpow(ctx, z_label.k * ctx.r * beta)
+    if isinstance(z_label, Projective):
+        i, k = z_label.i, z_label.k
+        return (br(ctx.r * beta) / br(beta) * qpow(ctx, k * ctx.r * beta)
+                * (qpow(ctx, (ctx.r - 1 - i) * beta) + qpow(ctx, -(ctx.r - 1 - i) * beta)))
+    raise TypeError(f"no closed form for closed color {z_label!r}")
+
+
+# Anchor battery: (closed generic weight, open generic weight) pairs.
+_ANCHOR_SAMPLES = ((0.377, 0.911), (-1.23 + 0.31j, 0.44 - 0.17j))
+
+
 def calibrate(ctx: QContext) -> RibbonConfig:
-    """Select the pivot exponent and coproduct orientation from the Hopf anchors.
+    """Check the fixed convention against the open Hopf anchors.
 
-    Tries the default pivot r-1 first, then 1-r, for each coproduct
-    orientation, and accepts the first combination whose open Hopf values
-    match all three closed forms on a sample battery.  The outcome and the
-    rejected attempts are kept in the config record.
+    For each sample pair (alpha, beta), the open Hopf link on Typical(beta)
+    with closed colors Typical(alpha), Simple(0, 1), Projective(0, 1) (and
+    Simple(r-2, -1) for r > 2) is evaluated by the tangle engine and must
+    match hopf_closed_form to 1e-8 relative; the worst error is kept as
+    max_rel_error.  A mismatch or a non-scalar link raises CalibrationError.
     """
-    samples = [(0.377, 0.911), (-1.23 + 0.31j, 0.44 - 0.17j)]
-    tried = []
-    for variant in ("EK", "KE"):
-        for pivot in (ctx.r - 1, 1 - ctx.r):
-            cfg = RibbonConfig(ctx, pivot, variant)
-            err = _calibration_error(cfg, samples)
-            tried.append({"pivot_exponent": pivot, "coproduct_variant": variant,
-                          "max_rel_error": err})
-            if err < 1e-8:
-                cfg.calibrated = True
-                cfg.record = {"pivot_exponent": pivot, "coproduct_variant": variant,
-                              "max_rel_error": err, "tried": tried}
-                return cfg
-    raise CalibrationError(f"no convention matched the Hopf anchors: {tried}")
+    from .tangle import eval_tangle, hopf_tangle  # tangle imports this module
 
-
-def _calibration_error(cfg: RibbonConfig, samples) -> float:
-    ctx = cfg.ctx
+    cfg = RibbonConfig(ctx)
     worst = 0.0
-    for alpha, beta in samples:
-        w = make_module(ctx, Typical(beta))
+    for alpha, beta in _ANCHOR_SAMPLES:
         closed_labels = [Typical(alpha), Simple(0, 1), Projective(0, 1)]
         if ctx.r > 2:
             closed_labels.append(Simple(ctx.r - 2, -1))
         for lab in closed_labels:
+            lm = eval_tangle(cfg, hopf_tangle(Typical(beta), lab))
             try:
-                phi = open_hopf(cfg, make_module(ctx, lab), w)
-                got = scalar_of(phi, w.dim, ctx.tol)
-            except NonScalarError:
-                return float("inf")
+                got = scalar_of(lm.matrix, lm.source.dim, ctx.tol)
+            except NonScalarError as exc:
+                raise CalibrationError(
+                    f"open Hopf link with closed color {lab} is not scalar: {exc}") from exc
             want = hopf_closed_form(ctx, lab, beta)
             worst = max(worst, abs(got - want) / max(1.0, abs(want)))
-    return worst
+    if not worst < 1e-8:
+        raise CalibrationError(
+            f"the ribbon convention misses the Hopf anchors (max rel error {worst:.2e})")
+    cfg.max_rel_error = worst
+    return cfg

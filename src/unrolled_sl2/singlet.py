@@ -412,7 +412,7 @@ def compare_hopf_qdim(cfg: RibbonConfig, x, color, eps: complex) -> CompareRepor
                 f"color weight {color.alpha} does not match -i sqrt(2r) eps = {alpha}")
         open_mod = make_module(ctx, Typical(alpha))
         num = modified_trace(open_mod, eval_tangle(cfg, hopf_tangle(Typical(alpha), x)))
-        unit = _memo(_UNIT_TRACE_CACHE, (*_cfg_key(cfg), alpha), lambda: modified_trace(
+        unit = _memo(_UNIT_TRACE_CACHE, (ctx, alpha), lambda: modified_trace(
             open_mod, eval_tangle(cfg, hopf_tangle(Typical(alpha), Simple(0, 0)))))
         rhs = num / unit
     else:
@@ -431,14 +431,10 @@ def compare_hopf_qdim(cfg: RibbonConfig, x, color, eps: complex) -> CompareRepor
 
 
 # Memos of eps-independent comparison data, keyed by value (never by id()):
-# the convention (context, pivot exponent, coproduct variant) and the labels.
+# the context, which fixes the ribbon convention, and the labels.
 _MEMO_SIZE = 1024
 _UNIT_TRACE_CACHE: OrderedDict = OrderedDict()
 _HOPF_A_CACHE: OrderedDict = OrderedDict()
-
-
-def _cfg_key(cfg: RibbonConfig):
-    return (cfg.ctx, cfg.pivot_exponent, cfg.coproduct_variant)
 
 
 def _memo(cache: OrderedDict, key, compute):
@@ -454,7 +450,7 @@ def _memo(cache: OrderedDict, key, compute):
 
 def _hopf_identity_coeff(cfg: RibbonConfig, color, x) -> complex:
     """Identity coefficient a of the open Hopf link hopf(color, x); independent of eps."""
-    return _memo(_HOPF_A_CACHE, (*_cfg_key(cfg), color, x),
+    return _memo(_HOPF_A_CACHE, (cfg.ctx, color, x),
                  lambda: log_tangle_invariant(cfg, hopf_tangle(color, x)).a)
 
 

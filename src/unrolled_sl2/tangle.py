@@ -336,25 +336,23 @@ _OPEN = object()  # sentinel tracking the open strand itself, not its color labe
 
 
 class _ModuleCache:
+    """Modules of one evaluation, built on first use.
+
+    Keyed by (color label or the open-strand sentinel, dual flag).  A label
+    holding a jet hashes by that jet's identity, and the key keeps the jet
+    alive for the evaluation.
+    """
+
     def __init__(self, ctx: QContext, open_module: WeightModule):
         self.ctx = ctx
-        self.store = {(_OPEN, False): open_module, (_OPEN, True): dual(open_module)}
+        self.store = {(_OPEN, False): open_module}
 
-    def get(self, key, is_dual: bool) -> WeightModule:
-        k = (_key(key), is_dual)
-        if k not in self.store:
-            base_key = (_key(key), False)
-            if base_key not in self.store:
-                self.store[base_key] = make_module(self.ctx, key)
-            self.store[k] = self.store[base_key] if not is_dual else dual(self.store[base_key])
-        return self.store[k]
-
-
-def _key(label):
-    if label is _OPEN:
-        return label
-    return label if not isinstance(label, DeformX) or not isinstance(label.eps, Jet) \
-        else (label.i, label.l, id(label.eps))
+    def get(self, label, is_dual: bool) -> WeightModule:
+        key = (label, is_dual)
+        if key not in self.store:
+            self.store[key] = (dual(self.get(label, False)) if is_dual
+                               else make_module(self.ctx, label))
+        return self.store[key]
 
 
 def _contract(state: Jet, dims, batch, pos, nin, gate, out_dims):
@@ -388,7 +386,8 @@ def eval_tangle(cfg: RibbonConfig, expr: TangleExpr,
     word = [(_OPEN, False)]
 
     jetness = open_module.is_jet or any(
-        isinstance(s, Insert) and make_colored_is_jet(s.color) for s in expr.slices)
+        isinstance(s, Insert) and isinstance(s.color, DeformX) and isinstance(s.color.eps, Jet)
+        for s in expr.slices)
     order = ctx.jet_order if jetness else 1
     dW = open_module.dim
     state = as_jet(np.eye(dW, dtype=complex), order)  # batched over basis columns
@@ -439,10 +438,6 @@ def eval_tangle(cfg: RibbonConfig, expr: TangleExpr,
     if not jetness:
         return LinearMap(open_module, open_module, mat.limit())
     return LinearMap(open_module, open_module, mat)
-
-
-def make_colored_is_jet(label) -> bool:
-    return isinstance(label, DeformX) and isinstance(label.eps, Jet)
 
 
 def renormalized_invariant(cfg: RibbonConfig, expr: TangleExpr,

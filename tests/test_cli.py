@@ -20,6 +20,9 @@ def test_calibrate(capsys):
     assert doc["schema"] == "unrolled-sl2/1"
     assert doc["pivot_exponent"] == -2
     assert doc["coproduct_variant"] == "EK"
+    assert doc["max_rel_error"] < 1e-9
+    assert doc["tried"] == [{"pivot_exponent": -2, "coproduct_variant": "EK",
+                             "max_rel_error": doc["max_rel_error"]}]
 
 
 def test_repcheck_single_and_dump(capsys):
@@ -108,3 +111,18 @@ def test_boundary_eps_is_usage_error(capsys):
     code, out, err = run(capsys, "qdim", "--r", "2", "--label", "M(1,1)",
                          "--eps", "-0.6+0.25i")
     assert code == 2
+
+
+@pytest.mark.parametrize("expr", ["open S(0,0) | hopf V(0.3)", "open V(1) | hopf V(0.3)"])
+def test_non_projective_open_color_is_usage_error(capsys, expr):
+    code, out, err = run(capsys, "tangle", "--r", "3", "--expr", expr)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("expr", ["open P(5,0) | hopf V(0.3)", "open X(5,0,0) | hopf V(0.3)"])
+def test_projective_index_out_of_range_is_usage_error(capsys, expr):
+    code, out, err = run(capsys, "tangle", "--r", "3", "--expr", expr)
+    assert code == 2
+    assert err == "error: projective index must lie in 0..1, got 5\n"

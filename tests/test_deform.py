@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from unrolled_sl2.qnum import QContext
-from unrolled_sl2.rep import Projective, Simple, Typical
+from unrolled_sl2.rep import DeformX, Projective, RangeError, Simple, Typical
 from unrolled_sl2.ribbon import get_config, modified_dim
 from unrolled_sl2.tangle import (
     TangleExpr, hopf_tangle, random_braid_tangle, twist_loop_tangle,
@@ -90,6 +90,17 @@ def test_twistloop_on_projective_color():
     endo, dec = log_endomorphism(cfg, t)
     assert dec.a == pytest.approx(res.a, abs=1e-8)
     assert dec.b == pytest.approx(res.b, rel=1e-7, abs=1e-8)
+
+
+@pytest.mark.parametrize("open_color", [Projective(5, 0), Projective(-1, 0), DeformX(5, 0, 0.0)])
+def test_projective_index_out_of_range(open_color):
+    ctx = QContext(3)
+    cfg = get_config(ctx)
+    t = hopf_tangle(open_color, Typical(0.3))
+    with pytest.raises(RangeError):
+        log_tangle_invariant(cfg, t)
+    with pytest.raises(RangeError):
+        log_endomorphism(cfg, t)
 
 
 @pytest.mark.parametrize("r", [2, 3, 5])

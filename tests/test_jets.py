@@ -10,7 +10,7 @@ from unrolled_sl2.jets import Jet, OrderError, PoleError, as_jet, jet
 
 def test_seed_and_constant():
     e = jet(6)
-    assert e.valuation == 1
+    assert e.val == 1
     assert e(0.25) == pytest.approx(0.25)
     c = as_jet(7.0, 6)
     assert c.limit() == pytest.approx(7.0)
@@ -19,16 +19,16 @@ def test_seed_and_constant():
 def test_add_mul_valuations():
     e = jet(6)
     x = e * e + 3 * e  # 3 eps + eps^2
-    assert x.normalized().valuation == 1
+    assert x.normalized().val == 1
     y = x - 3 * e  # eps^2
-    assert y.normalized().valuation == 2
-    assert (x * y).normalized().valuation == 3
+    assert y.normalized().val == 2
+    assert (x * y).normalized().val == 3
 
 
 def test_division_shifts_valuation():
     e = jet(6)
     q = (e * e + e) / e  # 1 + eps
-    assert q.valuation == 0
+    assert q.val == 0
     assert q.limit() == pytest.approx(1.0)
 
 
@@ -120,6 +120,6 @@ def test_cancellation_normalization_avoids_spurious_pole():
     e = jet(6)
     # (1 + eps) - 1 has an exactly-representable cancellation
     x = (1 + e) - 1
-    assert x.normalized().valuation == 1
+    assert x.normalized().val == 1
     # dividing by eps afterwards is finite
     assert (x / e).limit() == pytest.approx(1.0)

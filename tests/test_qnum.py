@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from unrolled_sl2.jets import PoleError
-from unrolled_sl2.qnum import (
-    QContext, jet_derivative, jet_limit, qbracket, qfact, qint, qpow,
-)
+from unrolled_sl2.jets import PoleError, as_jet
+from unrolled_sl2.qnum import QContext, qbracket, qfact, qint, qpow
 
 RS = [2, 3, 4, 5, 6]
 
@@ -26,7 +24,7 @@ def test_qpow_examples():
     assert qpow(QContext(2), 0.5) == pytest.approx(np.exp(1j * np.pi / 4))
     assert qpow(QContext(3), 3) == pytest.approx(-1.0)
     ctx = QContext(5)
-    d = jet_derivative(qpow(ctx, ctx.eps()), 1)
+    d = qpow(ctx, ctx.eps()).derivative(1)
     assert d == pytest.approx(1j * np.pi / 5)
 
 
@@ -66,28 +64,28 @@ def test_jet_limit_examples():
     ctx = QContext(3)
     e = ctx.eps()
     # {eps}/{r eps} -> 1/r, oracle: numeric quotient at eps = 1e-6
-    val = jet_limit(qbracket(ctx, e) / qbracket(ctx, ctx.r * e))
+    val = (qbracket(ctx, e) / qbracket(ctx, ctx.r * e)).limit()
     t = 1e-6
     oracle = (2j * np.sin(np.pi * t / ctx.r)) / (2j * np.sin(np.pi * t))
     assert val == pytest.approx(oracle, rel=1e-5)
     assert val == pytest.approx(1 / 3, rel=1e-10)
-    assert jet_limit(7.0) == pytest.approx(7.0)
+    assert as_jet(7.0, ctx.jet_order).limit() == pytest.approx(7.0)
     with pytest.raises(PoleError):
-        jet_limit(1 / qbracket(ctx, e))
+        (1 / qbracket(ctx, e)).limit()
 
 
 def test_jet_derivative_examples():
     for r in RS:
         ctx = QContext(r)
         e = ctx.eps()
-        assert jet_derivative(qpow(ctx, e), 1) == pytest.approx(1j * np.pi / r)
+        assert qpow(ctx, e).derivative(1) == pytest.approx(1j * np.pi / r)
         # {eps}' at 0 -> 2 pi i / r, oracle: central finite difference h = 1e-6
         h = 1e-6
         fd = ((2j * np.sin(np.pi * h / r)) - (2j * np.sin(-np.pi * h / r))) / (2 * h)
-        d = jet_derivative(qbracket(ctx, e), 1)
+        d = qbracket(ctx, e).derivative(1)
         assert d == pytest.approx(fd, rel=1e-6)
         assert d == pytest.approx(2j * np.pi / r, rel=1e-12)
-    assert jet_derivative(5.0 + 0j, 1) == 0
+    assert as_jet(5.0 + 0j, 6).derivative(1) == 0
 
 
 def test_limit_commutes_with_arithmetic():
@@ -95,8 +93,8 @@ def test_limit_commutes_with_arithmetic():
     e = ctx.eps()
     a = qbracket(ctx, 0.3 + e)
     b = qpow(ctx, 1.1 - 2 * e)
-    assert jet_limit(a * b) == pytest.approx(jet_limit(a) * jet_limit(b))
-    assert jet_limit(a + b) == pytest.approx(jet_limit(a) + jet_limit(b))
+    assert (a * b).limit() == pytest.approx(a.limit() * b.limit())
+    assert (a + b).limit() == pytest.approx(a.limit() + b.limit())
 
 
 def test_jet_evaluation_matches_numeric_kernel():

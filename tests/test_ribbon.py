@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from unrolled_sl2.jets import Jet
-from unrolled_sl2.qnum import QContext, jet_limit, qpow
+from unrolled_sl2.qnum import QContext, qpow
 from unrolled_sl2.rep import (
     DeformX, OneDim, Projective, Simple, Typical, direct_sum, hom_space,
     make_module, tensor,
 )
 from unrolled_sl2.ribbon import (
-    NonScalarError, NotProjectiveError, braiding_matrix, calibrate, ev_left,
-    ev_right, coev_left, coev_right, get_config, hopf_closed_form, modified_dim,
-    modified_trace, open_hopf, scalar_of, twist_matrix,
+    CalibrationError, NonScalarError, NotProjectiveError, RibbonConfig,
+    braiding_matrix, calibrate, ev_left, ev_right, coev_left, coev_right,
+    get_config, hopf_closed_form, modified_dim, modified_trace, scalar_of,
+    twist_matrix,
 )
+from unrolled_sl2.tangle import eval_tangle, hopf_tangle
 
 RS = [2, 3, 4, 5]
 
@@ -21,12 +23,16 @@ RS = [2, 3, 4, 5]
 @pytest.mark.parametrize("r", RS + [6])
 def test_calibration_selects_a_convention(r):
     cfg = calibrate(QContext(r))
-    assert cfg.calibrated
-    assert cfg.record["max_rel_error"] < 1e-9
-    # the default pivot r-1 is tried first and rejected; 1-r survives
-    assert cfg.record["tried"][0]["pivot_exponent"] == r - 1
+    assert cfg.max_rel_error < 1e-9
     assert cfg.pivot_exponent == 1 - r
-    assert cfg.coproduct_variant == "EK"
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_calibration_rejects_the_opposite_pivot(r, monkeypatch):
+    """Negative control: the anchors tell pivot r-1 apart from the convention 1-r."""
+    monkeypatch.setattr(RibbonConfig, "pivot_exponent", property(lambda self: self.ctx.r - 1))
+    with pytest.raises(CalibrationError):
+        calibrate(QContext(r))
 
 
 @pytest.mark.parametrize("r", RS)
@@ -37,12 +43,12 @@ def test_hopf_closed_forms_battery(r):
     betas = rng.uniform(0.1, 1.9, 4) + 1j * rng.uniform(-0.4, 0.4, 4)
     alphas = rng.uniform(-2, 2, 2) + 1j * rng.uniform(-0.5, 0.5, 2)
     for beta in betas:
-        w = make_module(ctx, Typical(beta))
         labels = [Typical(a) for a in alphas]
         labels += [Simple(i, k) for i in range(r - 1) for k in (-1, 0, 1)]
         labels += [Projective(i, k) for i in range(r - 1) for k in (-1, 0, 1)]
         for lab in labels:
-            got = scalar_of(open_hopf(cfg, make_module(ctx, lab), w), w.dim, ctx.tol)
+            lm = eval_tangle(cfg, hopf_tangle(Typical(beta), lab))
+            got = scalar_of(lm.matrix, lm.source.dim, ctx.tol)
             want = hopf_closed_form(ctx, lab, beta)
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (r, lab, beta)
 
@@ -160,7 +166,7 @@ def test_modified_dim_jet_limit_matches_projective():
         for i in range(r - 1):
             for l in (-2, 0, 1):
                 dj = modified_dim(ctx, DeformX(i, l, ctx.eps()))
-                lim = jet_limit(dj)
+                lim = dj.limit()
                 want = modified_dim(ctx, Projective(i, l))
                 assert abs(lim - want) < 1e-8
 
@@ -179,18 +185,6 @@ def test_modified_trace():
         bad = np.eye(v.dim)
         bad[0, 1] = 0.1
         modified_trace(v, bad)
-
-
-def test_strict_uncalibrated_config_refuses_braiding():
-    from unrolled_sl2.ribbon import CalibrationError, RibbonConfig
-    ctx = QContext(3)
-    cfg = RibbonConfig(ctx, pivot_exponent=1 - ctx.r, strict=True)
-    m = make_module(ctx, Typical(0.3))
-    with pytest.raises(CalibrationError):
-        braiding_matrix(cfg, m, m)
-    with pytest.raises(CalibrationError):
-        from unrolled_sl2.ribbon import structure_maps
-        structure_maps(cfg, m)
 
 
 def test_jet_braiding_limits_to_numeric():

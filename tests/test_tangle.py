@@ -5,7 +5,11 @@ import pytest
 
 from unrolled_sl2.qnum import QContext
 from unrolled_sl2.rep import Projective, Simple, Typical, make_module
-from unrolled_sl2.ribbon import get_config, hopf_closed_form, modified_dim, open_hopf, scalar_of
+from unrolled_sl2 import tangle
+from unrolled_sl2.ribbon import (
+    braiding_matrix, coev_left, ev_right, get_config, hopf_closed_form, modified_dim,
+    scalar_of,
+)
 from unrolled_sl2.tangle import (
     Braid, Coev, Ev, Insert, TangleExpr, TangleSyntaxError,
     TwistSlice, TypeMismatchError, decompose_endo, eval_tangle, hopf_tangle,
@@ -62,16 +66,48 @@ def test_empty_tangle_is_identity():
     assert np.max(np.abs(lm.matrix - np.eye(ctx.r))) < 1e-12
 
 
+def _dense_hopf(cfg, closed, open_):
+    """(Id x ev_r)(c_{V,W} x Id)(c_{W,V} x Id)(Id x coev) as dense matrices."""
+    IW, IV = np.eye(open_.dim), np.eye(closed.dim)
+    steps = [np.kron(IW, coev_left(cfg, closed)),
+             np.kron(braiding_matrix(cfg, open_, closed), IV),
+             np.kron(braiding_matrix(cfg, closed, open_), IV),
+             np.kron(IW, ev_right(cfg, closed))]
+    out = steps[0]
+    for step in steps[1:]:
+        out = step @ out
+    return out
+
+
 def test_hopf_preset_matches_ribbon_composite_and_closed_form():
     ctx = QContext(3)
     cfg = get_config(ctx)
     for z_lab, beta in [(Typical(0.71), 0.37), (Simple(1, -1), 0.91), (Projective(0, 1), 0.44)]:
         t = hopf_tangle(Typical(beta), z_lab)
         lm = eval_tangle(cfg, t)
-        direct = open_hopf(cfg, make_module(ctx, z_lab), make_module(ctx, Typical(beta)))
+        direct = _dense_hopf(cfg, make_module(ctx, z_lab), make_module(ctx, Typical(beta)))
         assert np.max(np.abs(lm.matrix - direct)) < 1e-10
         got = scalar_of(lm.matrix, ctx.r, ctx.tol)
         assert got == pytest.approx(hopf_closed_form(ctx, z_lab, beta), rel=1e-9)
+
+
+def test_hopf_word_builds_no_dual(monkeypatch):
+    """Duals are built only for strands that a gate acts on."""
+    calls = []
+    dual = tangle.dual
+
+    def counting(m):
+        calls.append(m.label)
+        return dual(m)
+
+    ctx = QContext(3)
+    cfg = get_config(ctx)
+    monkeypatch.setattr(tangle, "dual", counting)
+    eval_tangle(cfg, hopf_tangle(Typical(0.37), Simple(1, 0)))
+    assert calls == []
+    # braiding the open strand with a dual strand builds that strand's dual
+    eval_tangle(cfg, parse_tangle("open V(0.5) | coevR; br+ 1; br+ 1; evR"))
+    assert calls == [Typical(0.5)]
 
 
 def test_reidemeister_two():
