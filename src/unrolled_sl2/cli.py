@@ -58,7 +58,6 @@ def _add_common(p):
     p.add_argument("--r", type=int, required=True, help="order parameter (>= 2)")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--jet-order", type=int, default=6)
-    p.add_argument("--output", choices=("json", "csv"), default="json")
 
 
 def cmd_calibrate(args) -> int:
@@ -294,6 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--labels", required=True, help="';'-separated singlet labels")
     p.add_argument("--eps", required=True, help="';'-separated eps values")
+    p.add_argument("--output", choices=("json", "csv"), default="json")
     p.set_defaults(fn=cmd_sweep)
     return ap
 

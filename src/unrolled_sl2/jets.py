@@ -281,14 +281,17 @@ class Jet:
     def trace(self) -> "Jet":
         return Jet(np.trace(self.c, axis1=-2, axis2=-1), self.val)
 
-    def entry(self, i: int, j: int) -> "Jet":
-        return Jet(self.c[:, i, j].copy(), self.val)
+    def __getitem__(self, index) -> "Jet":
+        """Index every coefficient slice alike: J[i, j], J[a:b, c:d], J[:, idx]."""
+        if not isinstance(index, tuple):
+            index = (index,)
+        return Jet(self.c[(slice(None), *index)], self.val)
 
-    def block(self, r0: int, r1: int, c0: int, c1: int) -> "Jet":
-        return Jet(self.c[:, r0:r1, c0:c1].copy(), self.val)
-
-    def diagonal(self) -> "Jet":
-        return Jet(np.diagonal(self.c, axis1=-2, axis2=-1).copy(), self.val)
+    def reshape(self, *shape) -> "Jet":
+        """Reshape every coefficient slice alike; takes a tuple or separate sizes."""
+        if len(shape) == 1 and isinstance(shape[0], tuple):
+            shape = shape[0]
+        return Jet(self.c.reshape(self.order, *shape), self.val)
 
     def inv(self) -> "Jet":
         """Inverse of a square jet matrix with an invertible leading slice."""

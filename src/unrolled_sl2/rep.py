@@ -164,9 +164,6 @@ class WeightModule:
     def is_jet(self) -> bool:
         return isinstance(self.E, Jet) or isinstance(self.K, Jet)
 
-    def generators(self) -> dict:
-        return {"E": self.E, "F": self.F, "K": self.K, "Kinv": self.Kinv, "H": self.H}
-
     def __repr__(self):
         return f"WeightModule({format_label(self.label)}, r={self.ctx.r}, dim={self.dim})"
 
@@ -216,22 +213,12 @@ def mat_norm(m) -> float:
     return float(np.max(np.abs(m))) if np.asarray(m).size else 0.0
 
 
-def _eye(dim: int, like) -> object:
-    if isinstance(like, Jet):
-        return Jet.eye(dim, like.order)
-    return np.eye(dim, dtype=complex)
-
-
 def _kron(a, b):
     if isinstance(a, Jet) or isinstance(b, Jet):
         if not isinstance(a, Jet):
             a = as_jet(a, b.order)
         return a.kron(b)
     return np.kron(a, b)
-
-
-def _transpose(a):
-    return a.T if isinstance(a, Jet) else np.asarray(a).T
 
 
 def mat_limit(m):
@@ -462,11 +449,11 @@ def tensor(m: WeightModule, n: WeightModule) -> WeightModule:
 
 def dual(m: WeightModule) -> WeightModule:
     """Dual module via the antipode: generator u acts by S(u) transposed."""
-    E = -1 * _transpose(m.E @ m.Kinv)
-    F = -1 * _transpose(m.K @ m.F)
-    K = _transpose(m.Kinv)
-    Kinv = _transpose(m.K)
-    H = -1 * _transpose(m.H)
+    E = -1 * (m.E @ m.Kinv).T
+    F = -1 * (m.K @ m.F).T
+    K = m.Kinv.T
+    Kinv = m.K.T
+    H = -1 * m.H.T
     weights = [-w for w in m.weights]
     return WeightModule(m.ctx, Dual(m.label), m.dim, E, F, K, Kinv, H, weights)
 
@@ -482,14 +469,8 @@ def direct_sum(*mods: WeightModule) -> WeightModule:
         off = 0
         for m in mods:
             g = getattr(m, gen)
-            if isinstance(g, Jet):
-                for a in range(m.dim):
-                    for bcol in range(m.dim):
-                        entries.append((off + a, off + bcol, g.entry(a, bcol)))
-            else:
-                ga = np.asarray(g)
-                for a, bcol in zip(*np.nonzero(ga)):
-                    entries.append((off + int(a), off + int(bcol), ga[a, bcol]))
+            entries += [(off + a, off + b, g[a, b])
+                        for a in range(m.dim) for b in range(m.dim)]
             off += m.dim
         out[gen] = _assemble(dim, entries)
     weights = [w for m in mods for w in m.weights]
@@ -525,7 +506,7 @@ def verify_relations(m: WeightModule) -> RelationReport:
     ctx = m.ctx
     q2 = qpow(ctx, 2)
     E, F, K, Ki, H = m.E, m.F, m.K, m.Kinv, m.H
-    I = _eye(m.dim, E)
+    I = np.eye(m.dim, dtype=complex)  # promoted against jet generators
     res = {}
     res["KE=q2EK"] = _rel_residual([K @ E, -q2 * (E @ K)])
     res["KF=q-2FK"] = _rel_residual([K @ F, -(1 / q2) * (F @ K)])

@@ -1,12 +1,19 @@
 """Braiding, twist, dualities, modified trace: the ribbon data behind all invariants.
 
 The ribbon convention is fixed: the coproduct E -> 1 x E + E x K (see
-rep.tensor) and the pivot K^(1-r) on the right duality.  The braiding acts
-on a pair of weight modules as the weight-diagonal q^(H x H / 2) composed
-with the nilpotent tail sum over E^n x F^n and the flip; the tail
-truncates exactly at n = r - 1 because E^r = F^r = 0.  calibrate() checks
-the convention once per context: open Hopf links evaluated by the tangle
-engine must match their closed forms on a sample battery.
+rep.tensor) and the pivot K^(1-r) on the right duality.  The crossing on
+M x N is flip . Cartan . tail: the weight-diagonal q^(H x H / 2), then the
+tail sum over ({1}^n / [n]!) q^(n(n-1)/2) E^n x F^n, which is the
+q-exponential of the nilpotent {1} E x F and truncates exactly at n = r - 1
+because E^r = F^r = 0, then the flip as a row gather.  The inverse crossing
+is built in closed form from the inverse factors (exp_q(x)^-1 =
+exp_(1/q)(-x) for the tail, q^(-H x H / 2), and a column gather), and the
+inverse twist is the right partial trace of the inverse self-braiding, so
+nothing here inverts a matrix.  Every map has one code path for float and
+jet matrices: jets index, reshape and transpose like arrays, and promote
+float operands.  calibrate() checks the convention once per context: open
+Hopf links evaluated by the tangle engine must match their closed forms on
+a sample battery.
 
 The modified trace is normalized on the weight-0 generic module and
 evaluated through its closed-form modified dimensions; on indecomposable
@@ -20,11 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, as_jet
+from .jets import Jet
 from .qnum import QContext, qbracket, qint, qpow
 from .rep import (
-    DeformX, LinearMap, OneDim, Projective, Simple, Sum, Typical, WeightModule,
-    _assemble, _kron,
+    DeformX, LinearMap, OneDim, Projective, SelfExt, Simple, Sum, Typical, WeightModule,
+    _assemble, _kron, mat_norm,
 )
 
 __all__ = [
@@ -74,9 +81,9 @@ def get_config(ctx: QContext) -> RibbonConfig:
 # braiding and twist
 
 
-def _pivot_matrix(cfg: RibbonConfig, m: WeightModule):
-    """K^p on the module, p = cfg.pivot_exponent (never 0)."""
-    p = cfg.pivot_exponent
+def _pivot_matrix(cfg: RibbonConfig, m: WeightModule, sign: int = 1):
+    """K^(sign p) on the module, p = cfg.pivot_exponent (never 0)."""
+    p = sign * cfg.pivot_exponent
     base = m.K if p > 0 else m.Kinv
     out = base
     for _ in range(abs(p) - 1):
@@ -84,36 +91,33 @@ def _pivot_matrix(cfg: RibbonConfig, m: WeightModule):
     return out
 
 
-def _flip_matrix(dm: int, dn: int) -> np.ndarray:
-    P = np.zeros((dm * dn, dm * dn))
-    for a in range(dm):
-        for b in range(dn):
-            P[b * dm + a, a * dn + b] = 1.0
-    return P
+def _flip_index(dm: int, dn: int) -> np.ndarray:
+    """Permutation of the flip M x N -> N x M: row b*dm + a gathers a*dn + b."""
+    return np.arange(dm * dn).reshape(dm, dn).T.ravel()
 
 
-def _cartan_part(ctx: QContext, m: WeightModule, n: WeightModule):
-    """Diagonal of q^(weight * weight / 2) over the tensor basis."""
+def _cartan_part(ctx: QContext, m: WeightModule, n: WeightModule, sign: int):
+    """Diagonal of q^(sign * weight * weight / 2) over the tensor basis."""
     entries = []
     for a, wa in enumerate(m.weights):
         for b, wb in enumerate(n.weights):
-            entries.append((a * n.dim + b, a * n.dim + b, qpow(ctx, 0.5 * (wa * wb))))
+            entries.append((a * n.dim + b, a * n.dim + b, qpow(ctx, 0.5 * sign * (wa * wb))))
     return _assemble(m.dim * n.dim, entries)
 
 
-def _tail_part(ctx: QContext, m: WeightModule, n: WeightModule):
-    """Sum over n of ({1}^n / [n]!) q^(n(n-1)/2) E^n x F^n."""
-    br1 = qbracket(ctx, 1)
-    dim = m.dim * n.dim
-    if m.is_jet or n.is_jet:
-        acc = Jet.eye(dim, m.E.order if m.is_jet else n.E.order)
-    else:
-        acc = np.eye(dim, dtype=complex)
+def _tail_part(ctx: QContext, m: WeightModule, n: WeightModule, sign: int):
+    """Sum over k of ((sign {1})^k / [k]!) q^(sign k(k-1)/2) E^k x F^k.
+
+    This is the q-exponential of the nilpotent {1} E x F; sign = -1 gives
+    its inverse, since exp_q(x)^-1 = exp_(1/q)(-x).
+    """
+    br1 = sign * qbracket(ctx, 1)
+    acc = np.eye(m.dim * n.dim, dtype=complex)  # promoted by a jet term
     fact = 1.0 + 0j
     Ep, Fp = m.E, n.F
     for k in range(1, ctx.r):
         fact *= qint(ctx, k)
-        coef = br1 ** k / fact * qpow(ctx, k * (k - 1) / 2)
+        coef = br1 ** k / fact * qpow(ctx, sign * k * (k - 1) / 2)
         acc = acc + coef * _kron(Ep, Fp)
         if k < ctx.r - 1:
             Ep = Ep @ m.E
@@ -122,35 +126,28 @@ def _tail_part(ctx: QContext, m: WeightModule, n: WeightModule):
 
 
 def braiding_matrix(cfg: RibbonConfig, m: WeightModule, n: WeightModule, sign: int = 1):
-    """Matrix of the braiding M x N -> N x M (sign = -1 for the inverse crossing)."""
+    """Matrix of the braiding M x N -> N x M (sign = -1 for the inverse crossing).
+
+    The crossing is flip . Cartan . tail on M x N.  Its inverse is the
+    inverse of the crossing N x M -> M x N: inverse tail . inverse Cartan .
+    inverse flip, each factor in closed form.
+    """
     ctx = cfg.ctx
     if sign == 1:
-        D = _cartan_part(ctx, m, n)
-        T = _tail_part(ctx, m, n)
-        P = _flip_matrix(m.dim, n.dim)
-        R = D @ T
-        return P @ R if not isinstance(R, Jet) else as_jet(P, R.order) @ R
-    c = braiding_matrix(cfg, n, m, 1)
-    return c.inv() if isinstance(c, Jet) else np.linalg.inv(c)
+        return (_cartan_part(ctx, m, n, 1) @ _tail_part(ctx, m, n, 1))[_flip_index(m.dim, n.dim)]
+    return (_tail_part(ctx, n, m, -1) @ _cartan_part(ctx, n, m, -1))[:, _flip_index(n.dim, m.dim)]
 
 
 def twist_matrix(cfg: RibbonConfig, m: WeightModule, sign: int = 1):
-    """Twist on a module: right partial trace of the self-braiding."""
-    c = braiding_matrix(cfg, m, m, 1)
+    """Twist on a module: right partial trace of the self-braiding of the same sign.
+
+    The negative curl is the inverse twist, so sign = -1 needs no inversion.
+    """
+    c = braiding_matrix(cfg, m, m, sign)
     G = _pivot_matrix(cfg, m)
     d = m.dim
-    if isinstance(c, Jet) or isinstance(G, Jet):
-        if not isinstance(c, Jet):
-            c = as_jet(c, G.order)
-        if not isinstance(G, Jet):
-            G = as_jet(G, c.order)
-        th = c.combine(G, lambda cs, gs: np.einsum("abvj,jb->av",
-                                                   cs.reshape(d, d, d, d), gs))
-    else:
-        th = np.einsum("abvj,jb->av", np.asarray(c).reshape(d, d, d, d), np.asarray(G))
-    if sign == -1:
-        th = th.inv() if isinstance(th, Jet) else np.linalg.inv(th)
-    return th
+    ptrace = lambda cs, gs: np.einsum("abvj,jb->av", cs.reshape(d, d, d, d), gs)
+    return c.combine(G, ptrace) if isinstance(c, Jet) else ptrace(c, G)
 
 
 # ---------------------------------------------------------------------------
@@ -172,21 +169,12 @@ def coev_left(cfg, m: WeightModule):
 
 def ev_right(cfg, m: WeightModule):
     """M x M* -> C through the pivot."""
-    G = _pivot_matrix(cfg, m)
-    d = m.dim
-    if isinstance(G, Jet):
-        return Jet(np.swapaxes(G.c, -1, -2).reshape(G.order, 1, d * d), G.val)
-    return np.asarray(G).T.reshape(1, d * d)
+    return _pivot_matrix(cfg, m).T.reshape(1, m.dim ** 2)
 
 
 def coev_right(cfg, m: WeightModule):
     """C -> M* x M through the inverse pivot."""
-    G = _pivot_matrix(cfg, m)
-    Gi = G.inv() if isinstance(G, Jet) else np.linalg.inv(G)
-    d = m.dim
-    if isinstance(Gi, Jet):
-        return Jet(np.swapaxes(Gi.c, -1, -2).reshape(Gi.order, d * d, 1), Gi.val)
-    return np.asarray(Gi).T.reshape(d * d, 1)
+    return _pivot_matrix(cfg, m, -1).T.reshape(m.dim ** 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -236,19 +224,11 @@ def _dim_typical(ctx: QContext, alpha):
 
 def scalar_of(mat, dim: int, tol: float):
     """The scalar c with mat = c * Id, or NonScalarError."""
-    if isinstance(mat, Jet):
-        c = mat.entry(0, 0)
-        diff = mat - c * Jet.eye(dim, mat.order)
-        scale = max(1.0, mat.norm())
-        if diff.norm() > tol * scale:
-            raise NonScalarError(f"matrix is not scalar (residual {diff.norm():.2e})")
-        return c
-    m = np.asarray(mat)
-    c = m[0, 0]
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if np.max(np.abs(m - c * np.eye(dim))) > tol * scale:
-        raise NonScalarError("matrix is not scalar")
-    return complex(c)
+    c = mat[0, 0]
+    resid = mat_norm(mat - c * np.eye(dim))
+    if resid > tol * max(1.0, mat_norm(mat)):
+        raise NonScalarError(f"matrix is not scalar (residual {resid:.2e})")
+    return c if isinstance(c, Jet) else complex(c)
 
 
 def modified_trace(m: WeightModule, f):
@@ -262,24 +242,22 @@ def modified_trace(m: WeightModule, f):
     ctx = m.ctx
     mat = f.matrix if isinstance(f, LinearMap) else f
     labels = m.label.parts if isinstance(m.label, Sum) else (m.label,)
-    dims = []
     for lab in labels:
         if isinstance(lab, Typical):
-            dims.append((lab, ctx.r))
+            continue
+        if isinstance(lab, Projective) or (isinstance(lab, DeformX) and lab.eps == 0):
+            hint = "use the deformation-limit pathway"
+        elif isinstance(lab, (Simple, OneDim, SelfExt)):
+            hint = "not projective"
         else:
-            raise NotProjectiveError(
-                f"modified trace on {lab}: use the deformation-limit pathway")
+            hint = "only generic colors and direct sums of them are traced here"
+        raise NotProjectiveError(f"modified trace on {lab}: {hint}")
     out = None
-    off = 0
-    for lab, d in dims:
-        if isinstance(mat, Jet):
-            block = mat.block(off, off + d, off, off + d)
-        else:
-            block = np.asarray(mat)[off:off + d, off:off + d]
-        c = scalar_of(block, d, ctx.tol)
-        term = modified_dim(ctx, lab) * c
+    d = ctx.r
+    for t, lab in enumerate(labels):
+        block = mat[t * d:(t + 1) * d, t * d:(t + 1) * d]
+        term = modified_dim(ctx, lab) * scalar_of(block, d, ctx.tol)
         out = term if out is None else out + term
-        off += d
     return out
 
 

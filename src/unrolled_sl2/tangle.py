@@ -360,12 +360,10 @@ def _contract(state: Jet, dims, batch, pos, nin, gate, out_dims):
     L = prod(dims[:pos - 1])
     din = prod(dims[pos - 1:pos - 1 + nin])
     R = prod(dims[pos - 1 + nin:])
-    s4 = Jet(state.c.reshape(state.order, L, din, R, batch), state.val)
-    g = gate if isinstance(gate, Jet) else as_jet(gate, state.order)
-    out = g.combine(s4, lambda gc, sc: np.einsum("xy,lyrb->lxrb", gc, sc))
+    out = state.reshape(L, din, R, batch).combine(
+        gate, lambda sc, gc: np.einsum("xy,lyrb->lxrb", gc, sc))
     new_dims = list(dims[:pos - 1]) + list(out_dims) + list(dims[pos - 1 + nin:])
-    flat = Jet(out.c.reshape(out.order, -1, batch), out.val)
-    return flat, new_dims
+    return out.reshape(-1, batch), new_dims
 
 
 def eval_tangle(cfg: RibbonConfig, expr: TangleExpr,
@@ -434,7 +432,7 @@ def eval_tangle(cfg: RibbonConfig, expr: TangleExpr,
             state, dims = _contract(state, dims, dW, s.pos, 2, gate, ())
             del word[s.pos - 1:s.pos + 1]
 
-    mat = Jet(state.c.reshape(state.order, dW, dW), state.val)
+    mat = state.reshape(dW, dW)
     if not jetness:
         return LinearMap(open_module, open_module, mat.limit())
     return LinearMap(open_module, open_module, mat)
@@ -482,9 +480,9 @@ def nilpotent_endo(p: WeightModule) -> np.ndarray:
 def decompose_endo(f, p: WeightModule) -> EndoDecomp:
     """Write an intertwiner of a projective cover as a Id + b x."""
     mat = f.matrix if isinstance(f, LinearMap) else f
-    mat = np.asarray(mat, dtype=complex) if not isinstance(mat, Jet) else mat
     if isinstance(mat, Jet):
         raise TypeError("decompose numeric endomorphisms (take a limit first)")
+    mat = np.asarray(mat, dtype=complex)
     res = 0.0
     for gen in ("E", "F", "H", "K"):
         g = np.asarray(getattr(p, gen))

@@ -107,18 +107,32 @@ def test_usage_errors(capsys):
     assert ei.value.code == 2
 
 
+def test_output_flag_is_sweep_only(capsys):
+    """Only sweep can print CSV; elsewhere --output is an unknown flag, not ignored."""
+    with pytest.raises(SystemExit) as ei:
+        main(["hopf", "--r", "3", "--closed", "S(1,0)", "--beta", "0.71", "--output", "csv"])
+    assert ei.value.code == 2
+    assert "--output" in capsys.readouterr().err
+
+
 def test_boundary_eps_is_usage_error(capsys):
     code, out, err = run(capsys, "qdim", "--r", "2", "--label", "M(1,1)",
                          "--eps", "-0.6+0.25i")
     assert code == 2
 
 
-@pytest.mark.parametrize("expr", ["open S(0,0) | hopf V(0.3)", "open V(1) | hopf V(0.3)"])
-def test_non_projective_open_color_is_usage_error(capsys, expr):
+@pytest.mark.parametrize("expr, says", [
+    pytest.param("open S(0,0) | hopf V(0.3)", "Simple(i=0, k=0): not projective",
+                 id="open S(0,0) | hopf V(0.3)"),
+    pytest.param("open V(1) | hopf V(0.3)", "non-generic integer weight 1",
+                 id="open V(1) | hopf V(0.3)"),
+])
+def test_non_projective_open_color_is_usage_error(capsys, expr, says):
     code, out, err = run(capsys, "tangle", "--r", "3", "--expr", expr)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert says in err and "deformation" not in err
 
 
 @pytest.mark.parametrize("expr", ["open P(5,0) | hopf V(0.3)", "open X(5,0,0) | hopf V(0.3)"])

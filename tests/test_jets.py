@@ -89,6 +89,24 @@ def test_matrix_jet_kron():
     assert k.c[0][0, 1] == pytest.approx(2.0)
 
 
+def test_matrix_jet_indexes_like_each_slice():
+    """Indexing and reshaping a jet act on every coefficient slice alike."""
+    rng = np.random.default_rng(5)
+    c = rng.normal(size=(3, 4, 6)) + 1j * rng.normal(size=(3, 4, 6))
+    x = Jet(c, -1)
+    idx = np.array([5, 0, 3, 3])
+    cases = [(x[1, 2], lambda s: s[1, 2]),
+             (x[:, idx], lambda s: s[:, idx]),
+             (x[idx % 4], lambda s: s[idx % 4]),
+             (x[1:3, 2:5], lambda s: s[1:3, 2:5]),
+             (x.reshape(2, 12), lambda s: s.reshape(2, 12)),
+             (x.reshape((8, 3)), lambda s: s.reshape(8, 3))]
+    for got, op in cases:
+        assert got.val == -1 and got.order == 3
+        for k in range(3):
+            assert np.array_equal(got.c[k], op(c[k]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=0, max_value=3),

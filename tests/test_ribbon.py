@@ -90,14 +90,42 @@ def test_braiding_naturality_against_nilpotent():
     assert np.max(np.abs(lhs - rhs)) < 1e-9 * max(1, np.max(np.abs(rhs)))
 
 
+def _inverse_pairs(ctx):
+    """(labels, tolerance): float pairs, and a jet pair with a projective."""
+    r = ctx.r
+    return [((Typical(0.3), Simple(r - 2, 1)), 1e-10),
+            ((Typical(0.3 - 0.2j), Projective(r - 2, 0)), 1e-10),
+            ((Typical(0.37 + ctx.eps()), Projective(0, 1)), 1e-9)]
+
+
+def _max_abs(x):
+    return x.norm() if isinstance(x, Jet) else float(np.max(np.abs(x)))
+
+
 def test_inverse_braiding():
-    ctx = QContext(4)
+    """The closed-form inverse crossing inverts the crossing, on float and jet modules."""
+    for r in RS + [6]:
+        ctx = QContext(r)
+        cfg = get_config(ctx)
+        for (a, b), tol in _inverse_pairs(ctx):
+            m, n = make_module(ctx, a), make_module(ctx, b)
+            c = braiding_matrix(cfg, m, n, 1)
+            cinv = braiding_matrix(cfg, n, m, -1)
+            assert isinstance(cinv, Jet) == m.is_jet
+            assert _max_abs(cinv @ c - np.eye(m.dim * n.dim)) < tol, (r, a, b)
+            assert _max_abs(c @ cinv - np.eye(m.dim * n.dim)) < tol, (r, a, b)
+
+
+@pytest.mark.parametrize("r", RS + [6])
+def test_inverse_twist(r):
+    """The negative curl (partial trace of the inverse crossing) inverts the twist."""
+    ctx = QContext(r)
     cfg = get_config(ctx)
-    m = make_module(ctx, Typical(0.3))
-    n = make_module(ctx, Simple(2, 1))
-    c = braiding_matrix(cfg, m, n, 1)
-    cinv = braiding_matrix(cfg, n, m, -1)
-    assert np.max(np.abs(cinv @ c - np.eye(m.dim * n.dim))) < 1e-10
+    for labels, tol in _inverse_pairs(ctx):
+        for lab in labels:
+            m = make_module(ctx, lab)
+            th = twist_matrix(cfg, m, 1)
+            assert _max_abs(twist_matrix(cfg, m, -1) @ th - np.eye(m.dim)) < tol, lab
 
 
 def test_zigzags():
