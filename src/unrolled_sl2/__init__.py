@@ -31,7 +31,7 @@ from .singlet import (
     Atyp, BoundaryError, CompareReport, DomainError, Fock, FusionVector,
     RegimeError, Regularization, VACUUM, VerlindeReport, alpha_minus,
     alpha_plus, alpha_ts, alpha_zero, b_threshold, compare_hopf_qdim, fuse,
-    is_typical_fock, parse_complex, parse_singlet_label, phi_dictionary,
+    parse_complex, parse_singlet_label, phi_dictionary,
     phi_inverse, qdim_reg, regime_of, strip_eps, verlinde_hom_check,
 )
 

@@ -116,7 +116,7 @@ def _recolored_scalar(cfg: RibbonConfig, expr: TangleExpr, alpha):
     """Scalar of the tangle endomorphism with the open strand recolored."""
     mod = make_module(cfg.ctx, Typical(alpha))
     lm = eval_tangle(cfg, expr, open_module=mod)
-    return scalar_of(lm.matrix, mod.dim, cfg.ctx.tol)
+    return scalar_of(lm.matrix, mod.dim, cfg.ctx.tol, lm.scale)
 
 
 def log_endomorphism(cfg: RibbonConfig, expr: TangleExpr):

@@ -14,13 +14,17 @@ Binary operations keep the largest honestly-known range, so lengths may
 shrink through cancellation-heavy expressions; seed with enough order
 (QContext.jet_order) to absorb that.
 
-Zero detection follows two rules.  Addition trims a leading slice only
+Zero detection follows three rules.  Addition trims a leading slice only
 when it cancelled against its own operands (|a_k + b_k| <= ztol (|a_k| +
 |b_k|) entrywise), so a genuinely small coefficient is kept however large
-the higher orders are.  normalized(), and through it limit() and
-derivative(), trims by the whole-jet rule (below ztol times the largest
-coefficient anywhere in the jet) plus the caller's absolute floor atol;
-callers that know the scale of what cancelled pass it as atol there.
+the higher orders are.  reciprocal() and inv() trim only exactly-zero
+leading slices, because addition already trimmed what cancelled.
+normalized(), and through it limit() and derivative(), trims by the
+whole-jet rule (below ztol times the largest coefficient anywhere in the
+jet) plus the caller's absolute floor atol; callers that know the scale of
+what cancelled pass it as atol there.
+
+The analytic functions exp() and sin() act entrywise on jets of any shape.
 """
 
 from __future__ import annotations
@@ -122,17 +126,19 @@ class Jet:
         prec = min(a.val + a.order, b.val + b.order)
         n = max(prec - val, 1)
         shape = np.broadcast_shapes(a.shape, b.shape)
-        ca = np.zeros((n, *shape), dtype=complex)
-        cb = np.zeros((n, *shape), dtype=complex)
-        ka = a.val - val
-        cut = min(a.order, n - ka)
-        if cut > 0:
-            ca[ka:ka + cut] = a.c[:cut]
-        kb = b.val - val
-        cut = min(b.order, n - kb)
-        if cut > 0:
-            cb[kb:kb + cut] = b.c[:cut]
-        return val, ca, cb
+
+        def placed(j):
+            # pad the slice shape on the left to the common rank, so a scalar
+            # stack broadcasts across the entries and not the orders
+            c = np.zeros((n, *shape), dtype=complex)
+            k = j.val - val
+            cut = min(j.order, n - k)
+            if cut > 0:
+                pad = (1,) * (len(shape) - len(j.shape))
+                c[k:k + cut] = j.c[:cut].reshape(cut, *pad, *j.shape)
+            return c
+
+        return val, placed(a), placed(b)
 
     # -- ring operations ---------------------------------------------------
 
@@ -194,8 +200,8 @@ class Jet:
         """Multiplicative inverse of a scalar jet; PoleError on the zero jet."""
         if self.shape != ():
             raise ValueError("reciprocal() is for scalar jets; use inv() on matrices")
-        j = self.normalized()
-        if j.is_zero() or j.c[0] == 0:
+        j = self.normalized(0.0)
+        if j.is_zero():
             raise PoleError("division by a zero jet")
         n = j.order
         out = np.zeros(n, dtype=complex)
@@ -225,37 +231,35 @@ class Jet:
             out = out @ self if out.shape else out * self
         return out
 
-    # -- analytic functions of scalar jets ---------------------------------
+    # -- analytic functions, entrywise -------------------------------------
 
     def _entire(self, taylor) -> "Jet":
-        """Apply an entire function via its Taylor expansion about c0.
+        """Apply an entire function entrywise via its Taylor expansion about c0.
 
-        taylor(z0, k) must return f^(k)(z0) / k!.  Requires valuation >= 0
-        after normalization (an essential singularity otherwise).
+        taylor(z0, k) must return f^(k)(z0) / k! for an array z0.  Requires
+        valuation >= 0 after normalization (an essential singularity
+        otherwise).  The final whole-jet trim drops the round-off of sin at
+        integer multiples of pi.
         """
-        if self.shape != ():
-            raise ValueError("analytic functions act on scalar jets")
         j = self if self.val >= 0 else self.normalized()
         if j.val < 0:
             raise PoleError("analytic function of a jet with a pole")
         n = j.val + j.order
-        c = np.zeros(n, dtype=complex)
+        c = np.zeros((n, *j.shape), dtype=complex)
         c[j.val:] = j.c
         z0 = c[0]
-        h = c.copy()
-        h[0] = 0.0
-        out = np.zeros(n, dtype=complex)
+        # nonzero slices of h = c - z0
+        hz = (np.flatnonzero(c.reshape(n, -1)[1:].any(axis=1)) + 1).tolist()
+        out = np.zeros(c.shape, dtype=complex)
         out[0] = taylor(z0, 0)
-        hk = np.zeros(n, dtype=complex)
+        hk = np.zeros(c.shape, dtype=complex)  # h^k, from h^0 = 1
         hk[0] = 1.0
-        for k in range(1, n):
-            new = np.zeros(n, dtype=complex)
-            for i in range(n):
-                if hk[i] != 0:
-                    new[i:] += hk[i] * h[:n - i]
+        # h^k starts at slice k * hz[0], so it vanishes below the order beyond that
+        for k in range(1, (n - 1) // hz[0] + 1 if hz else 1):
+            new = np.zeros(c.shape, dtype=complex)
+            for i in hz:
+                new[i:] += hk[:n - i] * c[i]
             hk = new
-            if not np.any(hk):
-                break
             out += taylor(z0, k) * hk
         return Jet(out, 0).normalized()
 
@@ -278,9 +282,6 @@ class Jet:
     def T(self) -> "Jet":
         return Jet(np.swapaxes(self.c, -1, -2), self.val)
 
-    def trace(self) -> "Jet":
-        return Jet(np.trace(self.c, axis1=-2, axis2=-1), self.val)
-
     def __getitem__(self, index) -> "Jet":
         """Index every coefficient slice alike: J[i, j], J[a:b, c:d], J[:, idx]."""
         if not isinstance(index, tuple):
@@ -295,7 +296,7 @@ class Jet:
 
     def inv(self) -> "Jet":
         """Inverse of a square jet matrix with an invertible leading slice."""
-        j = self.normalized()
+        j = self.normalized(0.0)
         x0 = np.linalg.inv(j.c[0])
         out = np.zeros_like(j.c)
         out[0] = x0

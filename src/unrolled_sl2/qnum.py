@@ -41,9 +41,11 @@ class QContext:
 
 
 def qpow(ctx: QContext, x):
-    """q^x = exp(i*pi*x/r) for complex or jet x."""
+    """q^x = exp(i*pi*x/r) for complex, array or jet x (arrays and jets entrywise)."""
     if isinstance(x, Jet):
         return ((1j * np.pi / ctx.r) * x).exp()
+    if np.ndim(x):
+        return np.exp(1j * np.pi * np.asarray(x, dtype=complex) / ctx.r)
     return complex(np.exp(1j * np.pi * complex(x) / ctx.r))
 
 

@@ -8,7 +8,10 @@ the projective cover), the projective covers themselves, and the
 non-semisimple self-extension of a generic module.  Tensor products, duals,
 direct sums, a relation verifier, an intertwiner-space solver, and the
 explicit eps != 0 change of basis onto the two-summand decomposition
-complete the toolbox.
+complete the toolbox.  The H-weights are one vector w (a complex array, or
+a vector jet on the deformation path), and H = diag(w), K = diag(q^w) and
+K^-1 = diag(q^-w) are built from it; only the self-extension adds a Jordan
+part to them.
 """
 
 from __future__ import annotations
@@ -148,7 +151,7 @@ def _fmt_num(z) -> str:
 
 @dataclass
 class WeightModule:
-    """Matrices for the generator action plus the (generalized) H-weights."""
+    """Matrices for the generator action plus the (generalized) H-weight vector."""
 
     ctx: QContext
     label: object
@@ -158,7 +161,7 @@ class WeightModule:
     K: object
     Kinv: object
     H: object
-    weights: list
+    weights: object
 
     @property
     def is_jet(self) -> bool:
@@ -175,6 +178,7 @@ class LinearMap:
     source: WeightModule
     target: WeightModule
     matrix: object
+    scale: float = 1.0  # magnitude of the largest intermediate the matrix was computed from
 
     def __repr__(self):
         return (f"LinearMap({format_label(self.source.label)} -> "
@@ -205,6 +209,16 @@ def _assemble(dim: int, entries):
         else:
             c[-val, a, b] += complex(v)
     return Jet(c, val)
+
+
+def _diag(v):
+    """Diagonal matrix, or jet matrix, with the vector or vector jet v on its diagonal."""
+    if not isinstance(v, Jet):
+        return np.diag(v)
+    d = v.shape[0]
+    c = np.zeros((v.order, d, d), dtype=complex)
+    c[:, np.arange(d), np.arange(d)] = v.c
+    return Jet(c, v.val)
 
 
 def mat_norm(m) -> float:
@@ -259,11 +273,10 @@ def make_module(ctx: QContext, label) -> WeightModule:
 
 def _make_typical(ctx: QContext, alpha) -> WeightModule:
     r = ctx.r
-    weights = [alpha + (r - 1 - 2 * k) for k in range(r)]
     e = [(k - 1, k, qint(ctx, k) * qint(ctx, -alpha + k)) for k in range(1, r)]
     f = [(k + 1, k, 1.0) for k in range(r - 1)]
     return _from_weights(ctx, Typical(alpha if isinstance(alpha, Jet) else complex(alpha)),
-                         r, weights, e, f)
+                         alpha + np.arange(r - 1, -r, -2), e, f)
 
 
 def _make_simple(ctx: QContext, i: int, k: int) -> WeightModule:
@@ -271,25 +284,25 @@ def _make_simple(ctx: QContext, i: int, k: int) -> WeightModule:
     if not 0 <= i <= r - 2:
         raise RangeError(f"simple index must lie in 0..{r - 2}, got {i}")
     dim = i + 1
-    weights = [i + k * r - 2 * j for j in range(dim)]
     # the (-1)^k on E is forced by [E,F] acting as [i+kr-2j] on the twisted
     # weights; it is exactly the E x K coproduct factor on the character
     e = [(j - 1, j, (-1) ** k * qint(ctx, j) * qint(ctx, i + 1 - j)) for j in range(1, dim)]
     f = [(j + 1, j, 1.0) for j in range(dim - 1)]
-    return _from_weights(ctx, Simple(i, k), dim, weights, e, f)
+    return _from_weights(ctx, Simple(i, k), i + k * r - 2 * np.arange(dim), e, f)
 
 
 def _make_onedim(ctx: QContext, k: int) -> WeightModule:
-    return _from_weights(ctx, OneDim(k), 1, [k * ctx.r], [], [])
+    return _from_weights(ctx, OneDim(k), [k * ctx.r], [], [])
 
 
-def _from_weights(ctx, label, dim, weights, e_entries, f_entries) -> WeightModule:
-    E = _assemble(dim, e_entries)
-    F = _assemble(dim, f_entries)
-    H = _assemble(dim, [(t, t, w) for t, w in enumerate(weights)])
-    K = _assemble(dim, [(t, t, qpow(ctx, w)) for t, w in enumerate(weights)])
-    Kinv = _assemble(dim, [(t, t, qpow(ctx, -w)) for t, w in enumerate(weights)])
-    return WeightModule(ctx, label, dim, E, F, K, Kinv, H, list(weights))
+def _from_weights(ctx, label, weights, e_entries, f_entries) -> WeightModule:
+    """Module with E, F from (row, col, value) triples and H, K, K^-1 from the weights."""
+    if not isinstance(weights, Jet):
+        weights = np.asarray(weights, dtype=complex)
+    dim = weights.shape[0]
+    return WeightModule(ctx, label, dim, _assemble(dim, e_entries), _assemble(dim, f_entries),
+                        _diag(qpow(ctx, weights)), _diag(qpow(ctx, -weights)),
+                        _diag(weights), weights)
 
 
 def _make_selfext(ctx: QContext, lam) -> WeightModule:
@@ -302,24 +315,14 @@ def _make_selfext(ctx: QContext, lam) -> WeightModule:
     r = ctx.r
     lp = complex(lam) + r - 1
     ipir = 1j * np.pi / r
-    dim = 2 * r
     br1 = qpow(ctx, 1) - qpow(ctx, -1)
 
     def beta(i):
         return ipir / br1 * sum(qpow(ctx, lp - 2 * (j - 1)) + qpow(ctx, 2 * (j - 1) - lp)
                                 for j in range(1, i + 1))
 
-    h, k, kinv, e, f = [], [], [], [], []
+    e, f = [], []
     for i in range(r):
-        w = lp - 2 * i
-        qw = qpow(ctx, w)
-        for blk in (0, r):
-            h.append((blk + i, blk + i, w))
-            k.append((blk + i, blk + i, qw))
-            kinv.append((blk + i, blk + i, 1 / qw))
-        h.append((r + i, i, 1.0))            # Jordan step on the plain copy
-        k.append((r + i, i, ipir * qw))      # q^H = q^D (1 + (i pi / r) N)
-        kinv.append((r + i, i, -ipir / qw))
         if i >= 1:
             c = qint(ctx, i) * qint(ctx, lp + 1 - i)
             e.append((i - 1, i, c))
@@ -328,11 +331,12 @@ def _make_selfext(ctx: QContext, lam) -> WeightModule:
         if i <= r - 2:
             f.append((i + 1, i, 1.0))
             f.append((r + i + 1, r + i, 1.0))
-    return WeightModule(ctx, SelfExt(complex(lam)), dim,
-                        _assemble(dim, e), _assemble(dim, f),
-                        _assemble(dim, k), _assemble(dim, kinv),
-                        _assemble(dim, h),
-                        [lp - 2 * (i % r) for i in range(2 * r)])
+    m = _from_weights(ctx, SelfExt(complex(lam)), np.tile(lp - 2 * np.arange(r), 2), e, f)
+    t = np.arange(r)
+    m.H[r + t, t] = 1.0                       # Jordan step N on the plain copy
+    m.K[r + t, t] = ipir * m.K[t, t]          # q^H = q^D (1 + (i pi / r) N)
+    m.Kinv[r + t, t] = -ipir * m.Kinv[t, t]
+    return m
 
 
 def deform_block_sizes(ctx: QContext, i: int):
@@ -363,24 +367,8 @@ def make_deformable(ctx: QContext, i: int, l: int, eps) -> WeightModule:
     Hidx = lambda k: nL + (k + i) // 2
     Sidx = lambda k: nL + (i + 1) + (k + i) // 2
     Ridx = lambda k: nL + 2 * (i + 1) + (k - (i + 2)) // 2
-    dim = 2 * r
 
     b = qint(ctx, 1 + i) * qint(ctx, eps)
-
-    idx_weight = []
-    for k in range(i + 2 - 2 * r, -i - 1, 2):
-        idx_weight.append((Lidx(k), k))
-    for k in range(-i, i + 1, 2):
-        idx_weight.append((Hidx(k), k))
-        idx_weight.append((Sidx(k), k))
-    for k in range(i + 2, 2 * r - 1 - i, 2):
-        idx_weight.append((Ridx(k), k))
-    idx_weight.sort()
-    weights = [k + l * r + eps for _, k in idx_weight]
-
-    h = [(t, t, w) for t, w in enumerate(weights)]
-    kk = [(t, t, sgn * qpow(ctx, kv + eps)) for (t, kv) in idx_weight]
-    kinv = [(t, t, sgn * qpow(ctx, -(kv + eps))) for (t, kv) in idx_weight]
 
     f = []
     for k in range(-i + 2, i + 1, 2):
@@ -417,10 +405,10 @@ def make_deformable(ctx: QContext, i: int, l: int, eps) -> WeightModule:
         e.append((Lidx(-i - 2 * t), Lidx(-i - 2 - 2 * t),
                   -sgn * qint(ctx, 1 + i + t) * qint(ctx, t - eps)))
 
-    return WeightModule(ctx, DeformX(i, l, eps), dim,
-                        _assemble(dim, e), _assemble(dim, f),
-                        _assemble(dim, kk), _assemble(dim, kinv),
-                        _assemble(dim, h), weights)
+    # basis order L, H, S, R; the weight-lr character twists K by q^(lr) = sgn
+    ks = np.concatenate([np.arange(i + 2 - 2 * r, -i - 1, 2), np.arange(-i, i + 1, 2),
+                         np.arange(-i, i + 1, 2), np.arange(i + 2, 2 * r - 1 - i, 2)])
+    return _from_weights(ctx, DeformX(i, l, eps), ks + l * r + eps, e, f)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +431,7 @@ def tensor(m: WeightModule, n: WeightModule) -> WeightModule:
     K = _kron(m.K, n.K)
     Kinv = _kron(m.Kinv, n.Kinv)
     H = _kron(m.H, In) + _kron(Im, n.H)
-    weights = [wm + wn for wm in m.weights for wn in n.weights]
+    weights = (m.weights[:, None] + n.weights[None, :]).reshape(-1)
     return WeightModule(m.ctx, Tensor(m.label, n.label), dim, E, F, K, Kinv, H, weights)
 
 
@@ -454,28 +442,20 @@ def dual(m: WeightModule) -> WeightModule:
     K = m.Kinv.T
     Kinv = m.K.T
     H = -1 * m.H.T
-    weights = [-w for w in m.weights]
+    weights = -m.weights
     return WeightModule(m.ctx, Dual(m.label), m.dim, E, F, K, Kinv, H, weights)
 
 
 def direct_sum(*mods: WeightModule) -> WeightModule:
+    """Block-diagonal direct sum of numeric modules."""
     if not mods:
         raise ValueError("empty direct sum")
-    ctx = mods[0].ctx
-    dim = sum(m.dim for m in mods)
-    out = {}
-    for gen in ("E", "F", "K", "Kinv", "H"):
-        entries = []
-        off = 0
-        for m in mods:
-            g = getattr(m, gen)
-            entries += [(off + a, off + b, g[a, b])
-                        for a in range(m.dim) for b in range(m.dim)]
-            off += m.dim
-        out[gen] = _assemble(dim, entries)
-    weights = [w for m in mods for w in m.weights]
-    return WeightModule(ctx, Sum(tuple(m.label for m in mods)), dim,
-                        out["E"], out["F"], out["K"], out["Kinv"], out["H"], weights)
+    if any(m.is_jet for m in mods):
+        raise TypeError("direct_sum expects numeric modules")
+    from scipy.linalg import block_diag
+    gens = [block_diag(*[getattr(m, g) for m in mods]) for g in ("E", "F", "K", "Kinv", "H")]
+    return WeightModule(mods[0].ctx, Sum(tuple(m.label for m in mods)), sum(m.dim for m in mods),
+                        *gens, np.concatenate([m.weights for m in mods]))
 
 
 # ---------------------------------------------------------------------------
@@ -536,17 +516,13 @@ def _matpow(a, n: int):
 
 def _qh_equals_k_residual(m: WeightModule) -> float:
     ctx = m.ctx
-    if m.is_jet:
-        # jet modules in this artifact always have diagonal H
-        qh = _assemble(m.dim, [(t, t, qpow(ctx, w)) for t, w in enumerate(m.weights)])
-        return _rel_residual([qh, -1 * m.K])
-    H = np.asarray(m.H)
-    if np.max(np.abs(H - np.diag(np.diag(H)))) < 1e-14:
-        qh = np.diag(np.exp(1j * np.pi / ctx.r * np.diag(H)))
+    H = m.H
+    if isinstance(H, Jet) or np.max(np.abs(H - np.diag(np.diag(H)))) < 1e-14:
+        qh = _diag(qpow(ctx, m.weights))  # H = diag(weights); jet modules always have it
     else:
         from scipy.linalg import expm
         qh = expm(1j * np.pi / ctx.r * H)
-    return _rel_residual([qh, -1 * np.asarray(m.K)])
+    return _rel_residual([qh, -1 * m.K])
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +541,7 @@ def hom_space(m: WeightModule, n: WeightModule, wtol: float = 1e-8):
         raise TypeError("hom_space expects numeric modules")
     if m.ctx.r != n.ctx.r:
         raise ValueError("modules from different contexts")
-    wm = np.asarray([complex(w) for w in m.weights])
-    wn = np.asarray([complex(w) for w in n.weights])
+    wm, wn = m.weights, n.weights
     cand = [(a, b) for a in range(n.dim) for b in range(m.dim)
             if abs(wn[a] - wm[b]) < wtol]
     if not cand:
@@ -695,6 +670,6 @@ def module_dump(m: WeightModule) -> dict:
         "label": format_label(m.label),
         "r": m.ctx.r,
         "dim": m.dim,
-        "weights": [[float(complex(w).real), float(complex(w).imag)] for w in m.weights],
+        "weights": [[float(w.real), float(w.imag)] for w in m.weights],
         "E": cmat(m.E), "F": cmat(m.F), "K": cmat(m.K), "H": cmat(m.H),
     }

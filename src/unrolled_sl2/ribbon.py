@@ -1,19 +1,22 @@
 """Braiding, twist, dualities, modified trace: the ribbon data behind all invariants.
 
 The ribbon convention is fixed: the coproduct E -> 1 x E + E x K (see
-rep.tensor) and the pivot K^(1-r) on the right duality.  The crossing on
-M x N is flip . Cartan . tail: the weight-diagonal q^(H x H / 2), then the
-tail sum over ({1}^n / [n]!) q^(n(n-1)/2) E^n x F^n, which is the
-q-exponential of the nilpotent {1} E x F and truncates exactly at n = r - 1
-because E^r = F^r = 0, then the flip as a row gather.  The inverse crossing
-is built in closed form from the inverse factors (exp_q(x)^-1 =
-exp_(1/q)(-x) for the tail, q^(-H x H / 2), and a column gather), and the
-inverse twist is the right partial trace of the inverse self-braiding, so
-nothing here inverts a matrix.  Every map has one code path for float and
-jet matrices: jets index, reshape and transpose like arrays, and promote
-float operands.  calibrate() checks the convention once per context: open
-Hopf links evaluated by the tangle engine must match their closed forms on
-a sample battery.
+rep.tensor) and the pivot K^(1-r) = q^((1-r) H) on the right duality.  The
+crossing on M x N is flip . Cartan . tail: the tail sum over ({1}^n / [n]!)
+q^(n(n-1)/2) E^n x F^n, the q-exponential of the nilpotent {1} E x F that
+truncates at n = r - 1 because E^r = F^r = 0, scaled row by row by the
+diagonal Cartan factor q^(H x H / 2), then the flip as a row gather.  The
+inverse crossing is built in closed form from the inverse factors
+(exp_q(x)^-1 = exp_(1/q)(-x) for the tail, q^(-H x H / 2) as a column
+scaling, and a column gather), and the inverse twist is the right partial
+trace of the inverse self-braiding, so nothing here inverts a matrix.  The
+pivot and the Cartan factor are each one qpow of weight vectors, so ribbon
+maps take modules with diagonal H (not the self-extension).  Every map has
+one code path for float and jet matrices: jets index, reshape and
+transpose like arrays, and promote float operands.  calibrate() checks the
+convention once per context: open Hopf links evaluated by the tangle engine
+must match their closed forms on a sample battery.  scalar_of measures
+residuals against the round-off scale a tangle evaluation carries.
 
 The modified trace is normalized on the weight-0 generic module and
 evaluated through its closed-form modified dimensions; on indecomposable
@@ -31,7 +34,7 @@ from .jets import Jet
 from .qnum import QContext, qbracket, qint, qpow
 from .rep import (
     DeformX, LinearMap, OneDim, Projective, SelfExt, Simple, Sum, Typical, WeightModule,
-    _assemble, _kron, mat_norm,
+    _diag, _kron, mat_norm,
 )
 
 __all__ = [
@@ -82,13 +85,8 @@ def get_config(ctx: QContext) -> RibbonConfig:
 
 
 def _pivot_matrix(cfg: RibbonConfig, m: WeightModule, sign: int = 1):
-    """K^(sign p) on the module, p = cfg.pivot_exponent (never 0)."""
-    p = sign * cfg.pivot_exponent
-    base = m.K if p > 0 else m.Kinv
-    out = base
-    for _ in range(abs(p) - 1):
-        out = out @ base
-    return out
+    """K^(sign p) = q^(sign p H) on the module, p = cfg.pivot_exponent."""
+    return _diag(qpow(cfg.ctx, sign * cfg.pivot_exponent * m.weights))
 
 
 def _flip_index(dm: int, dn: int) -> np.ndarray:
@@ -97,12 +95,8 @@ def _flip_index(dm: int, dn: int) -> np.ndarray:
 
 
 def _cartan_part(ctx: QContext, m: WeightModule, n: WeightModule, sign: int):
-    """Diagonal of q^(sign * weight * weight / 2) over the tensor basis."""
-    entries = []
-    for a, wa in enumerate(m.weights):
-        for b, wb in enumerate(n.weights):
-            entries.append((a * n.dim + b, a * n.dim + b, qpow(ctx, 0.5 * sign * (wa * wb))))
-    return _assemble(m.dim * n.dim, entries)
+    """Diagonal of q^(sign H x H / 2) over the tensor basis, as a vector."""
+    return qpow(ctx, 0.5 * sign * (m.weights[:, None] * n.weights[None, :])).reshape(-1)
 
 
 def _tail_part(ctx: QContext, m: WeightModule, n: WeightModule, sign: int):
@@ -130,12 +124,15 @@ def braiding_matrix(cfg: RibbonConfig, m: WeightModule, n: WeightModule, sign: i
 
     The crossing is flip . Cartan . tail on M x N.  Its inverse is the
     inverse of the crossing N x M -> M x N: inverse tail . inverse Cartan .
-    inverse flip, each factor in closed form.
+    inverse flip, each factor in closed form.  The diagonal Cartan factor
+    acts as a row scaling of the tail, or a column scaling for the inverse.
     """
     ctx = cfg.ctx
     if sign == 1:
-        return (_cartan_part(ctx, m, n, 1) @ _tail_part(ctx, m, n, 1))[_flip_index(m.dim, n.dim)]
-    return (_tail_part(ctx, n, m, -1) @ _cartan_part(ctx, n, m, -1))[:, _flip_index(n.dim, m.dim)]
+        cartan = _cartan_part(ctx, m, n, 1)
+        return (cartan[:, None] * _tail_part(ctx, m, n, 1))[_flip_index(m.dim, n.dim)]
+    cartan = _cartan_part(ctx, n, m, -1)
+    return (_tail_part(ctx, n, m, -1) * cartan[None, :])[:, _flip_index(n.dim, m.dim)]
 
 
 def twist_matrix(cfg: RibbonConfig, m: WeightModule, sign: int = 1):
@@ -222,11 +219,15 @@ def _dim_typical(ctx: QContext, alpha):
     return pref * qbracket(ctx, alpha) / qbracket(ctx, ctx.r * alpha)
 
 
-def scalar_of(mat, dim: int, tol: float):
-    """The scalar c with mat = c * Id, or NonScalarError."""
+def scalar_of(mat, dim: int, tol: float, scale: float = 1.0):
+    """The scalar c with mat = c * Id, or NonScalarError.
+
+    The residual is tested against tol times the larger of |mat| and scale,
+    the size of the states mat was contracted from (LinearMap.scale).
+    """
     c = mat[0, 0]
     resid = mat_norm(mat - c * np.eye(dim))
-    if resid > tol * max(1.0, mat_norm(mat)):
+    if resid > tol * max(scale, mat_norm(mat)):
         raise NonScalarError(f"matrix is not scalar (residual {resid:.2e})")
     return c if isinstance(c, Jet) else complex(c)
 

@@ -31,7 +31,7 @@ from .deform import log_tangle_invariant
 __all__ = [
     "BoundaryError", "RegimeError", "DomainError",
     "Fock", "Atyp", "VACUUM", "Regularization", "FusionVector",
-    "alpha_plus", "alpha_minus", "alpha_zero", "alpha_ts", "is_typical_fock",
+    "alpha_plus", "alpha_minus", "alpha_zero", "alpha_ts",
     "b_threshold", "regime_of", "qdim_reg", "fuse",
     "phi_dictionary", "phi_inverse", "compare_hopf_qdim", "verlinde_hom_check",
     "CompareReport", "VerlindeReport", "parse_singlet_label", "format_singlet_label",
@@ -83,15 +83,6 @@ def alpha_zero(ctx: QContext) -> float:
 def alpha_ts(ctx: QContext, t: int, s: int) -> float:
     """Lattice weight of the atypical row/column label."""
     return (1 - t) / 2 * alpha_plus(ctx) + (1 - s) / 2 * alpha_minus(ctx)
-
-
-def is_typical_fock(ctx: QContext, lam: complex) -> bool:
-    """lam outside the dual lattice, or on the sublattice sqrt(2r) Z."""
-    x = complex(lam) * sqrt(2 * ctx.r)
-    n = round(x.real)
-    if abs(x - n) > ctx.tol:
-        return True
-    return n % (2 * ctx.r) == 0
 
 
 def _validate(ctx: QContext, label):

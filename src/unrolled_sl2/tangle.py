@@ -371,7 +371,9 @@ def eval_tangle(cfg: RibbonConfig, expr: TangleExpr,
     """Compose the slice maps bottom to top into an endomorphism of the open color.
 
     open_module overrides the module built from the open color label (used by
-    the deformation pathway, which recolors the open strand).
+    the deformation pathway, which recolors the open strand).  The returned
+    map carries as scale the largest entry of any intermediate state, the
+    round-off scale against which scalar_of tests it.
     """
     ctx = cfg.ctx
     expr = _typecheck(expr)
@@ -390,6 +392,7 @@ def eval_tangle(cfg: RibbonConfig, expr: TangleExpr,
     dW = open_module.dim
     state = as_jet(np.eye(dW, dtype=complex), order)  # batched over basis columns
     dims = [dW]
+    scale = 1.0  # largest |state| entry, the round-off scale of the contraction
 
     for s in expr.slices:
         if isinstance(s, Braid):
@@ -431,11 +434,10 @@ def eval_tangle(cfg: RibbonConfig, expr: TangleExpr,
             gate = ev_left(cfg, A) if s.side == "L" else ev_right(cfg, A)
             state, dims = _contract(state, dims, dW, s.pos, 2, gate, ())
             del word[s.pos - 1:s.pos + 1]
+        scale = max(scale, state.norm())
 
     mat = state.reshape(dW, dW)
-    if not jetness:
-        return LinearMap(open_module, open_module, mat.limit())
-    return LinearMap(open_module, open_module, mat)
+    return LinearMap(open_module, open_module, mat if jetness else mat.limit(), scale)
 
 
 def renormalized_invariant(cfg: RibbonConfig, expr: TangleExpr,

@@ -7,7 +7,7 @@ from unrolled_sl2.qnum import QContext
 from unrolled_sl2.rep import DeformX, Projective, RangeError, Simple, Typical
 from unrolled_sl2.ribbon import get_config, modified_dim
 from unrolled_sl2.tangle import (
-    TangleExpr, hopf_tangle, random_braid_tangle, twist_loop_tangle,
+    Insert, TangleExpr, hopf_tangle, parse_tangle, random_braid_tangle, twist_loop_tangle,
 )
 from unrolled_sl2.deform import (
     dim_limit_check, log_endomorphism, log_hopf, log_hopf_closed,
@@ -115,3 +115,19 @@ def test_dim_limit_check(r):
     assert abs(dim_limit_check(QContext(2), 0, 0).closed_form) < 1e-12
     r5 = dim_limit_check(QContext(5), 3, 1)
     assert r5.diff < 1e-8
+
+
+def test_long_word_with_zero_invariant_passes_the_scalar_test():
+    """The scalar test allows the round-off of the contraction's large states.
+
+    This r = 6 word has invariant 0; its recolored endomorphism is scalar up
+    to a residual near 1e-8, far below the states it was contracted through.
+    """
+    cfg = get_config(QContext(6))
+    word = "br+ 2; br+ 2; br+ 1; br- 2; br+ 1; br- 2; br+ 2; br- 1; br+ 2; br- 1; tw+ 1; evR 2"
+    real = parse_tangle(f"open P(0,-1) | insert 2 V(0.732954); {word}")
+    cplx = TangleExpr(real.open_color,
+                      (Insert(2, Typical(0.732954 - 0.144576j)),) + real.slices[1:])
+    for expr in (real, cplx):
+        res = log_tangle_invariant(cfg, expr)
+        assert max(abs(res.trace), abs(res.a), abs(res.b)) < 1e-6

@@ -39,6 +39,14 @@ def test_reciprocal_series():
     assert g(t) == pytest.approx(1 / (1 + t), rel=1e-12)
 
 
+def test_inverses_keep_a_small_genuine_constant():
+    """reciprocal and inv trim only exactly-zero leading slices."""
+    c = np.array([1e-10, 1, 1, 1, 1, 1])
+    for x in (Jet(c, 0).reciprocal(), Jet(c.reshape(6, 1, 1), 0).inv()):
+        assert x.val == 0
+        assert complex(x.c[0].ravel()[0]) == pytest.approx(1e10)
+
+
 def test_pole_errors():
     e = jet(6)
     with pytest.raises(PoleError):
@@ -55,6 +63,10 @@ def test_exp_and_sin_match_numeric():
     t = 1e-2
     assert f(t) == pytest.approx(np.exp(z + t), rel=1e-10)
     assert g(t) == pytest.approx(np.sin(z + t), rel=1e-10)
+    # entrywise on jets of any shape
+    zs = np.array([[0.3 + 0.1j, -1.2], [0.0, 2.5j]])
+    assert np.allclose((zs + e).exp()(t), np.exp(zs + t), rtol=1e-10, atol=0)
+    assert np.allclose((zs + e).sin()(t), np.sin(zs + t), rtol=1e-10, atol=0)
 
 
 def test_exp_of_positive_valuation():
@@ -87,6 +99,19 @@ def test_matrix_jet_kron():
     k = x.kron(y)
     assert k.shape == (2, 2)
     assert k.c[0][0, 1] == pytest.approx(2.0)
+
+
+def test_scalar_jet_broadcasts_across_entries():
+    """A scalar jet added to a vector jet lands on every entry, order by order."""
+    s = Jet(np.arange(1.0, 7.0), 0)
+    for n in (6, 4):
+        got = s + Jet(np.zeros((6, n)), 0)
+        assert got.val == 0 and got.shape == (n,)
+        for k in range(n):
+            assert np.array_equal(got.c[:, k], np.arange(1.0, 7.0))
+    e = jet(6)
+    w = np.array([1.0, -2.0, 0.5j]) + e  # the weight vector of a recolored module
+    assert np.allclose(w(1e-3), np.array([1.0, -2.0, 0.5j]) + 1e-3, rtol=0, atol=1e-15)
 
 
 def test_matrix_jet_indexes_like_each_slice():

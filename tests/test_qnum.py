@@ -26,6 +26,11 @@ def test_qpow_examples():
     ctx = QContext(5)
     d = qpow(ctx, ctx.eps()).derivative(1)
     assert d == pytest.approx(1j * np.pi / 5)
+    # arrays and vector jets entrywise
+    w = np.array([0.5, 3.0, -1.2 + 0.3j])
+    assert np.allclose(qpow(ctx, w), [qpow(ctx, x) for x in w], rtol=1e-15, atol=0)
+    dv = qpow(ctx, w + ctx.eps()).derivative(1)
+    assert np.allclose(dv, 1j * np.pi / 5 * qpow(ctx, w), rtol=1e-12, atol=0)
 
 
 def test_bracket_examples():

@@ -209,6 +209,8 @@ def test_direct_sum_and_dump():
     s = direct_sum(make_module(ctx, Typical(0.3)), make_module(ctx, Typical(0.9)))
     assert s.dim == 4
     assert verify_relations(s).max_residual < 1e-9
+    with pytest.raises(TypeError):  # numeric only, like hom_space
+        direct_sum(make_module(ctx, Typical(0.3 + ctx.eps())))
     d = module_dump(make_module(ctx, Projective(0, 0)))
     assert d["dim"] == 4 and d["r"] == 2
     assert len(d["E"]) == 4 and len(d["E"][0]) == 4 and len(d["E"][0][0]) == 2

@@ -7,7 +7,7 @@ from unrolled_sl2.jets import Jet
 from unrolled_sl2.qnum import QContext, qpow
 from unrolled_sl2.rep import (
     DeformX, OneDim, Projective, Simple, Typical, direct_sum, hom_space,
-    make_module, tensor,
+    make_deformable, make_module, tensor,
 )
 from unrolled_sl2.ribbon import (
     CalibrationError, NonScalarError, NotProjectiveError, RibbonConfig,
@@ -224,3 +224,30 @@ def test_jet_braiding_limits_to_numeric():
     assert isinstance(cj, Jet)
     c0 = braiding_matrix(cfg, make_module(ctx, Typical(0.37)), n)
     assert np.max(np.abs(cj.limit() - c0)) < 1e-10
+
+
+@pytest.mark.parametrize("r", [2, 3, 5])
+def test_jet_gates_match_float_gates_off_zero(r):
+    """Jet modules and gates evaluated at eps = t equal float ones built at t."""
+    ctx = QContext(r)
+    cfg = get_config(ctx)
+    e, t = ctx.eps(), 1e-3
+
+    def check(jm, fm):
+        assert isinstance(jm, Jet)
+        assert np.max(np.abs(jm(t) - fm)) <= 1e-12 * np.max(np.abs(fm))
+
+    vj, vt = make_module(ctx, Typical(0.37 + e)), make_module(ctx, Typical(0.37 + t))
+    for lab in (Simple(r - 2, 1), Projective(0, -1), Typical(-0.81 + 0.2j)):
+        z = make_module(ctx, lab)
+        for sign in (1, -1):
+            check(braiding_matrix(cfg, vj, z, sign), braiding_matrix(cfg, vt, z, sign))
+            check(braiding_matrix(cfg, z, vj, sign), braiding_matrix(cfg, z, vt, sign))
+    for i in range(r - 1):
+        xj, xt = make_deformable(ctx, i, 1, e), make_deformable(ctx, i, 1, t)
+        for gen in ("E", "F", "K", "Kinv", "H"):
+            check(getattr(xj, gen), getattr(xt, gen))
+        for sign in (1, -1):
+            check(twist_matrix(cfg, xj, sign), twist_matrix(cfg, xt, sign))
+    for sign in (1, -1):
+        check(twist_matrix(cfg, vj, sign), twist_matrix(cfg, vt, sign))
