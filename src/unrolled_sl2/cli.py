@@ -107,7 +107,7 @@ def cmd_hopf(args) -> int:
     beta = parse_complex(args.beta)
     w = make_module(ctx, Typical(beta))
     lm = eval_tangle(cfg, hopf_tangle(Typical(beta), closed))
-    got = scalar_of(lm.matrix, w.dim, ctx.tol)
+    got = scalar_of(lm.matrix, w.dim, ctx.tol, lm.scale)
     want = hopf_closed_form(ctx, closed, beta)
     diff = abs(got - want) / max(1.0, abs(want))
     _emit({"command": "hopf", "r": args.r, "closed": format_label(closed),
@@ -149,7 +149,7 @@ def cmd_tangle(args) -> int:
         })
     else:
         lm = eval_tangle(cfg, expr)
-        g = scalar_of(lm.matrix, lm.source.dim, ctx.tol)
+        g = scalar_of(lm.matrix, lm.source.dim, ctx.tol, lm.scale)
         inv = modified_trace(lm.source, lm)
         mat = np.asarray(lm.matrix)
         resid = float(np.max(np.abs(mat - g * np.eye(lm.source.dim))))

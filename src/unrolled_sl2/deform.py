@@ -88,23 +88,26 @@ def log_tangle_invariant(cfg: RibbonConfig, expr: TangleExpr) -> LogInvariantRes
     dp = modified_dim(ctx, Typical(lam_p + e))
     tm, tp = gm * dm, gp * dp
     # cancellation floors: a quantity whose value is genuinely zero leaves
-    # only rounding noise behind, which must not masquerade as a pole
-    floor_t = ctx.tol * max(1.0, tm.norm(), tp.norm())
+    # only rounding noise behind, which must not masquerade as a pole.  Each
+    # floor is scaled by the slices up to the one read (eps^0 for the trace
+    # and a, eps^1 for b), never by larger higher orders.
+    floor_t = ctx.tol * max(1.0, tm.norm(0), tp.norm(0))
     trace = (tm + tp).limit(ctx.tol, atol=floor_t)
 
-    floor_g = ctx.tol * max(1.0, gm.norm(), gp.norm())
-    am = gm.limit(ctx.tol, atol=floor_g)
-    ap = gp.limit(ctx.tol, atol=floor_g)
+    floor_a = ctx.tol * max(1.0, gm.norm(0), gp.norm(0))
+    am = gm.limit(ctx.tol, atol=floor_a)
+    ap = gp.limit(ctx.tol, atol=floor_a)
     if abs(am - ap) > 1e-8 * max(1.0, abs(am)):
         raise CrossCheckError(f"identity coefficient limits disagree: {am} vs {ap}")
     a = (am + ap) / 2
 
-    num = (gm - gp).normalized(ctx.tol, atol=floor_g)
-    b = (num / (qint(ctx, 1 + i) * qint(ctx, e))).limit(ctx.tol, atol=floor_g)
+    floor_b = ctx.tol * max(1.0, gm.norm(1), gp.norm(1))
+    num = (gm - gp).normalized(ctx.tol, atol=floor_b, upto=1)
+    b = (num / (qint(ctx, 1 + i) * qint(ctx, e))).limit(ctx.tol, atol=floor_b)
     br1 = qbracket(ctx, 1)
     b_deriv = (ctx.r * br1 ** 2 / (2j * np.pi * qbracket(ctx, 1 + i))
-               * (gm.derivative(1, ctx.tol, atol=floor_g)
-                  - gp.derivative(1, ctx.tol, atol=floor_g)))
+               * (gm.derivative(1, ctx.tol, atol=floor_b)
+                  - gp.derivative(1, ctx.tol, atol=floor_b)))
     resid = abs(b - b_deriv) / max(1.0, abs(b))
     if resid > 1e-7:
         raise CrossCheckError(

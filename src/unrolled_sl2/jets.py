@@ -14,15 +14,24 @@ Binary operations keep the largest honestly-known range, so lengths may
 shrink through cancellation-heavy expressions; seed with enough order
 (QContext.jet_order) to absorb that.
 
+Products (*, @, kron, combine) loop over one operand's coefficient slices
+and multiply each against the other operand's whole coefficient stack in
+one broadcast call over its leading order axis, so a jet product makes at
+most min(order) slice products.  A plain array operand is never promoted to
+a zero-padded jet: it is one call against the stack.  In *, the lower-rank
+stack is padded so that a scalar jet broadcasts across entries and not
+across orders.
+
 Zero detection follows three rules.  Addition trims a leading slice only
 when it cancelled against its own operands (|a_k + b_k| <= ztol (|a_k| +
 |b_k|) entrywise), so a genuinely small coefficient is kept however large
 the higher orders are.  reciprocal() and inv() trim only exactly-zero
 leading slices, because addition already trimmed what cancelled.
-normalized(), and through it limit() and derivative(), trims by the
-whole-jet rule (below ztol times the largest coefficient anywhere in the
-jet) plus the caller's absolute floor atol; callers that know the scale of
-what cancelled pass it as atol there.
+normalized(), and through it limit() and derivative(), trims below ztol
+times the largest coefficient of the slices up to the one read (eps^0 for
+limit, eps^n for derivative(n), the whole jet when no upto is given) plus
+the caller's absolute floor atol; callers that know the scale of what
+cancelled pass it as atol there, scaled over the same slices.
 
 The analytic functions exp() and sin() act entrywise on jets of any shape.
 """
@@ -78,25 +87,29 @@ class Jet:
 
     # -- normalization ---------------------------------------------------
 
-    def norm(self) -> float:
-        """Max absolute entry over all coefficient slices."""
-        return float(np.max(np.abs(self.c))) if self.c.size else 0.0
+    def norm(self, upto: int | None = None) -> float:
+        """Max absolute entry over the slices of exponent <= upto (all by default)."""
+        c = self.c if upto is None else self.c[:max(upto + 1 - self.val, 0)]
+        return float(np.max(np.abs(c))) if c.size else 0.0
 
     def is_zero(self) -> bool:
         return self.norm() == 0.0
 
-    def normalized(self, ztol: float = _ZTOL, atol: float = 0.0) -> "Jet":
+    def normalized(self, ztol: float = _ZTOL, atol: float = 0.0,
+                   upto: int | None = None) -> "Jet":
         """Shift the valuation past leading coefficient slices that vanish.
 
         A slice counts as zero when its magnitude is below ztol times the
-        largest coefficient magnitude of the whole jet, or below the
-        absolute floor atol; the floor is how callers communicate the scale
-        of cancelled operands, so an all-noise jet normalizes to zero
-        instead of faking a pole.  This whole-jet rule is for the limit
-        points (limit, derivative) and explicit calls; addition uses the
-        narrower operand-relative rule of __add__.
+        largest coefficient magnitude of the slices up to exponent upto
+        (the whole jet by default), or below the absolute floor atol.  The
+        reader of the eps^upto coefficient passes upto, so large higher
+        orders cannot trim a genuine coefficient below them; the floor is
+        how callers communicate the scale of cancelled operands, so an
+        all-noise jet normalizes to zero instead of faking a pole.  This
+        rule is for the limit points (limit, derivative) and explicit calls;
+        addition uses the narrower operand-relative rule of __add__.
         """
-        s = self.norm()
+        s = self.norm(upto)
         if s == 0.0 or s <= atol:
             return Jet(np.zeros((1, *self.shape)), 0)
         thresh = max(ztol * s, atol)
@@ -168,33 +181,46 @@ class Jet:
     def __rsub__(self, other):
         return self._promote(other) + (-self)
 
-    def _convolve(self, other: "Jet", prod) -> "Jet":
+    def _convolve(self, other, prod) -> "Jet":
+        """Cauchy product under prod(stack, slice), which must broadcast over
+        this stack's leading order axis and return a new array: one call
+        against a plain array other, one per slice of a jet other."""
+        if not isinstance(other, Jet):
+            return Jet(prod(self.c, np.asarray(other)), self.val)
         n = min(self.order, other.order)
-        first = np.asarray(prod(self.c[0], other.c[0]), dtype=complex)
-        out = np.zeros((n, *first.shape), dtype=complex)
-        out[0] = first
-        for k in range(1, n):
-            for i in range(max(0, k - other.order + 1), min(k + 1, self.order)):
-                out[k] += prod(self.c[i], other.c[k - i])
+        out = prod(self.c[:n], other.c[0])
+        for i in range(1, n):
+            out[i:] += prod(self.c[:n - i], other.c[i])
         return Jet(out, self.val + other.val)
 
     def __mul__(self, other):
-        return self._convolve(self._promote(other), lambda x, y: x * y)
+        # pad this stack to the other operand's rank, so that a scalar jet
+        # broadcasts across the entries and not across the orders
+        pad = np.ndim(other.c[0] if isinstance(other, Jet) else other) - len(self.shape)
+        a = self if pad <= 0 else self.reshape((1,) * pad + self.shape)
+        return a._convolve(other, np.multiply)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
-        return self._convolve(self._promote(other), lambda x, y: x @ y)
+        return self._convolve(other, np.matmul)
 
     def __rmatmul__(self, other):
-        return self._promote(other)._convolve(self, lambda x, y: x @ y)
+        # other @ self for a plain other; M @ v is v @ M^T on a vector jet
+        return self._convolve(
+            other, lambda s, o: np.matmul(s, o.T) if s.ndim == 2 else np.matmul(o, s))
 
     def kron(self, other) -> "Jet":
-        return self._convolve(self._promote(other), np.kron)
+        """Kronecker product self x other of matrix jets or plain matrices."""
+        return self._convolve(other, _batched_kron)
+
+    def rkron(self, other) -> "Jet":
+        """Kronecker product other x self, for a plain matrix other."""
+        return self._convolve(other, lambda s, o: _batched_kron(o, s))
 
     def combine(self, other, prod) -> "Jet":
-        """Convolve coefficient stacks under an arbitrary bilinear slice product."""
-        return self._convolve(self._promote(other), prod)
+        """Convolve under an arbitrary bilinear slice product prod(stack, slice)."""
+        return self._convolve(other, prod)
 
     def reciprocal(self) -> "Jet":
         """Multiplicative inverse of a scalar jet; PoleError on the zero jet."""
@@ -214,7 +240,7 @@ class Jet:
         return self * self._promote(other).reciprocal()
 
     def __rtruediv__(self, other):
-        return self._promote(other) * self.reciprocal()
+        return self.reciprocal() * other
 
     def __pow__(self, n):
         if not isinstance(n, (int, np.integer)):
@@ -238,8 +264,8 @@ class Jet:
 
         taylor(z0, k) must return f^(k)(z0) / k! for an array z0.  Requires
         valuation >= 0 after normalization (an essential singularity
-        otherwise).  The final whole-jet trim drops the round-off of sin at
-        integer multiples of pi.
+        otherwise).  The final trim, scaled by slices 0..1, drops the
+        round-off of sin at integer multiples of pi.
         """
         j = self if self.val >= 0 else self.normalized()
         if j.val < 0:
@@ -261,7 +287,7 @@ class Jet:
                 new[i:] += hk[:n - i] * c[i]
             hk = new
             out += taylor(z0, k) * hk
-        return Jet(out, 0).normalized()
+        return Jet(out, 0).normalized(upto=1)
 
     def exp(self) -> "Jet":
         return self._entire(lambda z0, k: np.exp(z0) / math.factorial(k))
@@ -319,7 +345,7 @@ class Jet:
 
     def limit(self, ztol: float = _ZTOL, atol: float = 0.0):
         """Value at eps = 0; PoleError when the normalized valuation is negative."""
-        j = self.normalized(ztol, atol)
+        j = self.normalized(ztol, atol, upto=0)
         if j.val < 0:
             raise PoleError(f"divergent jet (valuation {j.val})")
         if j.val > 0 or j.is_zero():
@@ -328,7 +354,7 @@ class Jet:
 
     def derivative(self, n: int, ztol: float = _ZTOL, atol: float = 0.0):
         """n-th derivative at eps = 0, i.e. n! times the overall eps^n coefficient."""
-        j = self.normalized(ztol, atol)
+        j = self.normalized(ztol, atol, upto=n)
         if j.is_zero():
             return np.zeros(self.shape, dtype=complex) if self.shape else 0j
         if j.val < 0:
@@ -340,6 +366,14 @@ class Jet:
             return np.zeros(self.shape, dtype=complex) if self.shape else 0j
         out = math.factorial(n) * j.c[k]
         return out if self.shape else complex(out)
+
+
+def _batched_kron(x, y):
+    """Kronecker product of the last two axes, broadcast over the leading ones."""
+    m, n = x.shape[-2:]
+    p, q = y.shape[-2:]
+    out = x[..., :, None, :, None] * y[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], m * p, n * q)
 
 
 def jet(order: int) -> Jet:

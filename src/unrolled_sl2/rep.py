@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .jets import Jet, as_jet
+from .jets import Jet
 from .qnum import QContext, qint, qpow
 
 __all__ = [
@@ -228,10 +228,11 @@ def mat_norm(m) -> float:
 
 
 def _kron(a, b):
-    if isinstance(a, Jet) or isinstance(b, Jet):
-        if not isinstance(a, Jet):
-            a = as_jet(a, b.order)
+    """Kronecker product of float or jet matrices; a float factor is never promoted."""
+    if isinstance(a, Jet):
         return a.kron(b)
+    if isinstance(b, Jet):
+        return b.rkron(a)
     return np.kron(a, b)
 
 
@@ -424,7 +425,7 @@ def tensor(m: WeightModule, n: WeightModule) -> WeightModule:
     if m.ctx.r != n.ctx.r:
         raise ValueError("tensor factors must share a context")
     dim = m.dim * n.dim
-    Im = np.eye(m.dim, dtype=complex)  # _kron promotes against jet factors
+    Im = np.eye(m.dim, dtype=complex)  # _kron takes float and jet factors
     In = np.eye(n.dim, dtype=complex)
     E = _kron(Im, n.E) + _kron(m.E, n.K)
     F = _kron(m.Kinv, n.F) + _kron(m.F, In)

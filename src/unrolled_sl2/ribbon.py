@@ -11,12 +11,14 @@ inverse crossing is built in closed form from the inverse factors
 scaling, and a column gather), and the inverse twist is the right partial
 trace of the inverse self-braiding, so nothing here inverts a matrix.  The
 pivot and the Cartan factor are each one qpow of weight vectors, so ribbon
-maps take modules with diagonal H (not the self-extension).  Every map has
-one code path for float and jet matrices: jets index, reshape and
-transpose like arrays, and promote float operands.  calibrate() checks the
-convention once per context: open Hopf links evaluated by the tangle engine
-must match their closed forms on a sample battery.  scalar_of measures
-residuals against the round-off scale a tangle evaluation carries.
+maps take modules with diagonal H and refuse the self-extension with
+NotProjectiveError.  Every map has one code path for float and jet
+matrices: jets index, reshape and transpose like arrays, and multiply
+float operands without promoting them.  calibrate() checks the convention
+once per context: open Hopf links evaluated by the tangle engine must match
+their closed forms on a sample battery.  scalar_of measures residuals
+against the round-off scale a tangle evaluation carries, and
+modified_trace passes it when given a LinearMap.
 
 The modified trace is normalized on the weight-0 generic module and
 evaluated through its closed-form modified dimensions; on indecomposable
@@ -84,9 +86,18 @@ def get_config(ctx: QContext) -> RibbonConfig:
 # braiding and twist
 
 
+def _weights(m: WeightModule):
+    """The weight vector, whose q-powers give the pivot and the Cartan factor;
+    NotProjectiveError when H has a Jordan part (the self-extension)."""
+    H = m.H
+    if not isinstance(H, Jet) and np.count_nonzero(H) > np.count_nonzero(np.diagonal(H)):
+        raise NotProjectiveError(f"ribbon maps need a diagonal H; {m.label} has a Jordan part")
+    return m.weights
+
+
 def _pivot_matrix(cfg: RibbonConfig, m: WeightModule, sign: int = 1):
     """K^(sign p) = q^(sign p H) on the module, p = cfg.pivot_exponent."""
-    return _diag(qpow(cfg.ctx, sign * cfg.pivot_exponent * m.weights))
+    return _diag(qpow(cfg.ctx, sign * cfg.pivot_exponent * _weights(m)))
 
 
 def _flip_index(dm: int, dn: int) -> np.ndarray:
@@ -96,7 +107,7 @@ def _flip_index(dm: int, dn: int) -> np.ndarray:
 
 def _cartan_part(ctx: QContext, m: WeightModule, n: WeightModule, sign: int):
     """Diagonal of q^(sign H x H / 2) over the tensor basis, as a vector."""
-    return qpow(ctx, 0.5 * sign * (m.weights[:, None] * n.weights[None, :])).reshape(-1)
+    return qpow(ctx, 0.5 * sign * (_weights(m)[:, None] * _weights(n)[None, :])).reshape(-1)
 
 
 def _tail_part(ctx: QContext, m: WeightModule, n: WeightModule, sign: int):
@@ -143,7 +154,8 @@ def twist_matrix(cfg: RibbonConfig, m: WeightModule, sign: int = 1):
     c = braiding_matrix(cfg, m, m, sign)
     G = _pivot_matrix(cfg, m)
     d = m.dim
-    ptrace = lambda cs, gs: np.einsum("abvj,jb->av", cs.reshape(d, d, d, d), gs)
+    ptrace = lambda cs, gs: np.einsum("...abvj,...jb->...av",
+                                      cs.reshape(*cs.shape[:-2], d, d, d, d), gs)
     return c.combine(G, ptrace) if isinstance(c, Jet) else ptrace(c, G)
 
 
@@ -237,11 +249,12 @@ def modified_trace(m: WeightModule, f):
 
     Normalized so the identity on the weight-0 generic module traces to
     (-1)^(r-1); each simple block contributes its scalar times the block's
-    modified dimension.  Indecomposable projective colors go through the
+    modified dimension.  A LinearMap's round-off scale is passed to
+    scalar_of.  Indecomposable projective colors go through the
     deformation limit instead (deform module).
     """
     ctx = m.ctx
-    mat = f.matrix if isinstance(f, LinearMap) else f
+    mat, scale = (f.matrix, f.scale) if isinstance(f, LinearMap) else (f, 1.0)
     labels = m.label.parts if isinstance(m.label, Sum) else (m.label,)
     for lab in labels:
         if isinstance(lab, Typical):
@@ -257,7 +270,7 @@ def modified_trace(m: WeightModule, f):
     d = ctx.r
     for t, lab in enumerate(labels):
         block = mat[t * d:(t + 1) * d, t * d:(t + 1) * d]
-        term = modified_dim(ctx, lab) * scalar_of(block, d, ctx.tol)
+        term = modified_dim(ctx, lab) * scalar_of(block, d, ctx.tol, scale)
         out = term if out is None else out + term
     return out
 
@@ -306,7 +319,7 @@ def calibrate(ctx: QContext) -> RibbonConfig:
         for lab in closed_labels:
             lm = eval_tangle(cfg, hopf_tangle(Typical(beta), lab))
             try:
-                got = scalar_of(lm.matrix, lm.source.dim, ctx.tol)
+                got = scalar_of(lm.matrix, lm.source.dim, ctx.tol, lm.scale)
             except NonScalarError as exc:
                 raise CalibrationError(
                     f"open Hopf link with closed color {lab} is not scalar: {exc}") from exc

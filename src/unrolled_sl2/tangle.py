@@ -356,12 +356,16 @@ class _ModuleCache:
 
 
 def _contract(state: Jet, dims, batch, pos, nin, gate, out_dims):
-    """Contract a gate over strands [pos, pos+nin) of the batched state."""
+    """Contract a gate over strands [pos, pos+nin) of the batched state.
+
+    The state is viewed as (L, din, R*batch) and each gate slice (a float
+    gate is one) multiplies the whole coefficient stack in one matmul,
+    broadcast over the order axis and the L strands to the left.
+    """
     L = prod(dims[:pos - 1])
     din = prod(dims[pos - 1:pos - 1 + nin])
     R = prod(dims[pos - 1 + nin:])
-    out = state.reshape(L, din, R, batch).combine(
-        gate, lambda sc, gc: np.einsum("xy,lyrb->lxrb", gc, sc))
+    out = state.reshape(L, din, R * batch).combine(gate, lambda s, g: np.matmul(g, s))
     new_dims = list(dims[:pos - 1]) + list(out_dims) + list(dims[pos - 1 + nin:])
     return out.reshape(-1, batch), new_dims
 

@@ -42,6 +42,23 @@ def test_log_hopf_matches_closed_forms(r):
                 assert d.b == pytest.approx(cb, rel=1e-8, abs=1e-9)
 
 
+@pytest.mark.parametrize("r", [2, 3])
+def test_log_hopf_large_twists_keep_the_constant(r):
+    """Simple closed colors with large twists: the Cartan factor's Taylor
+    coefficients grow like (pi k / 2)^n / n!, which must not trim the genuine
+    constant a = +-1 read at eps^0."""
+    ctx = QContext(r)
+    cfg = get_config(ctx)
+    for k in (53, 150, 1000):
+        for i in range(r - 1):
+            for j in range(r - 1):
+                d = log_hopf(cfg, Simple(i, k), j, 0)  # raises MismatchError on disagreement
+                ca, cb = log_hopf_closed(ctx, Simple(i, k), j, 0)
+                assert abs(ca) > 0.5
+                assert d.a == pytest.approx(ca, rel=1e-9)
+                assert d.b == pytest.approx(cb, rel=1e-8, abs=1e-9)
+
+
 def test_unit_closed_color():
     ctx = QContext(3)
     cfg = get_config(ctx)

@@ -132,6 +132,62 @@ def test_matrix_jet_indexes_like_each_slice():
             assert np.array_equal(got.c[k], op(c[k]))
 
 
+def _cauchy(a, b, prod):
+    """Naive double-loop Cauchy product, slice by slice; a plain array is a constant."""
+    ja, jb = isinstance(a, Jet), isinstance(b, Jet)
+    ca = a.c if ja else [np.asarray(a, dtype=complex)]
+    cb = b.c if jb else [np.asarray(b, dtype=complex)]
+    n = min(a.order if ja else b.order, b.order if jb else a.order)
+    out = []
+    for k in range(n):
+        acc = 0
+        for i in range(len(ca)):
+            for j in range(len(cb)):
+                if i + j == k:
+                    acc = acc + prod(ca[i], cb[j])
+        out.append(acc)
+    return np.array(out), (a.val if ja else 0) + (b.val if jb else 0)
+
+
+def test_products_match_a_naive_cauchy_product():
+    """*, @, kron and combine against the double loop over slice pairs."""
+    rng = np.random.default_rng(11)
+
+    def rj(order, val, *shape):
+        return Jet(rng.normal(size=(order, *shape)) + 1j * rng.normal(size=(order, *shape)), val)
+
+    def rm(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    def check(got, a, b, prod):
+        want, val = _cauchy(a, b, prod)
+        assert got.val == val and got.c.shape == want.shape
+        assert np.max(np.abs(got.c - want)) <= 1e-13 * np.max(np.abs(want))
+
+    mul, mm = (lambda x, y: x * y), (lambda x, y: x @ y)
+    s5, s7 = rj(5, -1), rj(7, 2)        # scalar jets, unequal orders and valuations
+    v6, m4, m6 = rj(6, 1, 3), rj(4, 0, 3, 3), rj(6, -2, 3, 3)
+    M, v, x = rm(3, 3), rm(3), 0.7 - 0.2j
+    for a, b in [(s5, s7), (s7, s5), (s5, m6), (m6, s5), (v6, m4), (m4, v6),
+                 (m4, M), (s5, M), (v6, M), (s7, x)]:
+        check(a * b, a, b, mul)
+    for a, b in [(M, m4), (M, s5), (x, v6)]:
+        check(a * b, a, b, mul)                                # a plain left operand
+    for a, b in [(m4, m6), (m6, m4), (m4, v6), (v6, m6), (m4, M), (v6, M), (m6, v)]:
+        check(a @ b, a, b, mm)
+    for a, b in [(M, m4), (M, v6), (v, m6)]:
+        check(a @ b, a, b, mm)
+    k23, k32 = rj(5, 1, 2, 3), rj(3, -1, 3, 2)
+    check(k23.kron(k32), k23, k32, np.kron)
+    check(k32.kron(M), k32, M, np.kron)
+    check(k23.rkron(M), M, k23, np.kron)
+    # the tangle contraction: a gate over the middle strands of a batched state
+    state, gate, G = rj(6, 0, 2, 3, 8), rj(4, 1, 5, 3), rm(5, 3)
+    for g in (gate, G):
+        check(state.combine(g, lambda st, gt: np.matmul(gt, st)), state, g,
+              lambda st, gt: np.einsum("xy,lyr->lxr", gt, st))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=0, max_value=3),

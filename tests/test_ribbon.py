@@ -6,8 +6,8 @@ import pytest
 from unrolled_sl2.jets import Jet
 from unrolled_sl2.qnum import QContext, qpow
 from unrolled_sl2.rep import (
-    DeformX, OneDim, Projective, Simple, Typical, direct_sum, hom_space,
-    make_deformable, make_module, tensor,
+    DeformX, LinearMap, OneDim, Projective, SelfExt, Simple, Typical, direct_sum,
+    hom_space, make_deformable, make_module, tensor,
 )
 from unrolled_sl2.ribbon import (
     CalibrationError, NonScalarError, NotProjectiveError, RibbonConfig,
@@ -213,6 +213,42 @@ def test_modified_trace():
         bad = np.eye(v.dim)
         bad[0, 1] = 0.1
         modified_trace(v, bad)
+
+
+def test_modified_trace_uses_the_round_off_scale_of_a_linear_map():
+    """A residual inside tol times the map's round-off scale is admitted; the
+    same matrix without its scale is refused."""
+    ctx = QContext(3)
+    v = make_module(ctx, Typical(0.81))
+    mat = 2.0 * np.eye(v.dim)
+    mat[0, 1] = 1e-7  # above tol * |mat|, below tol * scale
+    with pytest.raises(NonScalarError):
+        modified_trace(v, mat)
+    got = modified_trace(v, LinearMap(v, v, mat, scale=1e3))
+    assert got == pytest.approx(2.0 * modified_dim(ctx, Typical(0.81)))
+    with pytest.raises(NonScalarError):
+        modified_trace(v, LinearMap(v, v, mat, scale=1.0))
+
+
+def test_ribbon_maps_refuse_a_non_diagonal_h():
+    """The pivot and the Cartan factor are q-powers of the weights, which
+    would drop the Jordan part of the self-extension's H."""
+    ctx = QContext(3)
+    cfg = get_config(ctx)
+    s = make_module(ctx, SelfExt(0.3))
+    v = make_module(ctx, Typical(0.7))
+    for sign in (1, -1):
+        with pytest.raises(NotProjectiveError):
+            braiding_matrix(cfg, s, v, sign)
+        with pytest.raises(NotProjectiveError):
+            braiding_matrix(cfg, v, s, sign)
+        with pytest.raises(NotProjectiveError):
+            twist_matrix(cfg, s, sign)
+    for duality in (ev_right, coev_right):
+        with pytest.raises(NotProjectiveError):
+            duality(cfg, s)
+    with pytest.raises(NotProjectiveError):
+        braiding_matrix(cfg, direct_sum(s, v), v)
 
 
 def test_jet_braiding_limits_to_numeric():
