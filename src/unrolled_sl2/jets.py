@@ -20,7 +20,9 @@ one broadcast call over its leading order axis, so a jet product makes at
 most min(order) slice products.  A plain array operand is never promoted to
 a zero-padded jet: it is one call against the stack.  In *, the lower-rank
 stack is padded so that a scalar jet broadcasts across entries and not
-across orders.
+across orders; in @, a matrix stack is padded to the other operand's rank,
+so a gate jet broadcasts over the batch axes of a state.  + and - add a
+plain operand into the eps^0 slice without promoting it.
 
 Zero detection follows three rules.  Addition trims a leading slice only
 when it cancelled against its own operands (|a_k + b_k| <= ztol (|a_k| +
@@ -130,28 +132,27 @@ class Jet:
             return other
         return as_jet(other, self.order)
 
+    def _placed(self, val: int, n: int, shape) -> np.ndarray:
+        """This stack on n slices from valuation val, truncated there, with the
+        slice shape padded on the left to the rank of shape, so that a scalar
+        stack broadcasts across the entries and not the orders."""
+        k = self.val - val
+        if k == 0 and n == self.order and shape == self.shape:
+            return self.c
+        c = np.zeros((n, *shape), dtype=complex)
+        cut = min(self.order, n - k)
+        if cut > 0:
+            pad = (1,) * (len(shape) - len(self.shape))
+            c[k:k + cut] = self.c[:cut].reshape(cut, *pad, *self.shape)
+        return c
+
     @staticmethod
     def _aligned(a: "Jet", b: "Jet"):
         """Common-valuation stacks truncated to the shared precision range."""
-        if a.val == b.val and a.order == b.order and a.shape == b.shape:
-            return a.val, a.c, b.c
         val = min(a.val, b.val)
-        prec = min(a.val + a.order, b.val + b.order)
-        n = max(prec - val, 1)
+        n = max(min(a.val + a.order, b.val + b.order) - val, 1)
         shape = np.broadcast_shapes(a.shape, b.shape)
-
-        def placed(j):
-            # pad the slice shape on the left to the common rank, so a scalar
-            # stack broadcasts across the entries and not the orders
-            c = np.zeros((n, *shape), dtype=complex)
-            k = j.val - val
-            cut = min(j.order, n - k)
-            if cut > 0:
-                pad = (1,) * (len(shape) - len(j.shape))
-                c[k:k + cut] = j.c[:cut].reshape(cut, *pad, *j.shape)
-            return c
-
-        return val, placed(a), placed(b)
+        return val, a._placed(val, n, shape), b._placed(val, n, shape)
 
     # -- ring operations ---------------------------------------------------
 
@@ -160,13 +161,24 @@ class Jet:
 
         Slice k is dropped while |a_k + b_k| <= ztol (|a_k| + |b_k|) holds
         entrywise, so (1 + eps) - 1 has valuation 1 while a small constant
-        next to large higher orders is kept.
+        next to large higher orders is kept.  A plain operand is a constant
+        known to this jet's precision: it is added into the eps^0 slice, with
+        the values and the trim of the sum with as_jet(other, self.order).
         """
-        other = self._promote(other)
-        val, ca, cb = self._aligned(self, other)
-        c = ca + cb
+        if isinstance(other, Jet):
+            val, ca, cb = self._aligned(self, other)
+            c = ca + cb
+            mag = lambda k: np.abs(ca[k]) + np.abs(cb[k])
+        else:
+            b = np.asarray(other, dtype=complex)
+            val = min(self.val, 0)
+            ca = self._placed(val, self.order, np.broadcast_shapes(self.shape, b.shape))
+            c = ca.copy()
+            if -val < len(c):
+                c[-val] += b
+            mag = lambda k: np.abs(ca[k]) + np.abs(b) if k == -val else np.abs(ca[k])
         for k in range(len(c)):
-            if not np.all(np.abs(c[k]) <= _ZTOL * (np.abs(ca[k]) + np.abs(cb[k]))):
+            if not np.all(np.abs(c[k]) <= _ZTOL * mag(k)):
                 return Jet(c[k:], val + k)
         return Jet(np.zeros((1, *c.shape[1:])), 0)
 
@@ -176,10 +188,10 @@ class Jet:
         return Jet(-self.c, self.val)
 
     def __sub__(self, other):
-        return self + (-self._promote(other))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return self._promote(other) + (-self)
+        return (-self) + other
 
     def _convolve(self, other, prod) -> "Jet":
         """Cauchy product under prod(stack, slice), which must broadcast over
@@ -203,7 +215,11 @@ class Jet:
     __rmul__ = __mul__
 
     def __matmul__(self, other):
-        return self._convolve(other, np.matmul)
+        # pad a matrix stack to the other operand's rank, so that the other's
+        # batch axes (a state's strands) broadcast after this stack's orders
+        pad = np.ndim(other.c[0] if isinstance(other, Jet) else other) - len(self.shape)
+        a = self if pad <= 0 or len(self.shape) < 2 else self.reshape((1,) * pad + self.shape)
+        return a._convolve(other, np.matmul)
 
     def __rmatmul__(self, other):
         # other @ self for a plain other; M @ v is v @ M^T on a vector jet

@@ -40,13 +40,26 @@ class QContext:
         return jet(self.jet_order)
 
 
+def _period_reduced(ctx: QContext, x):
+    """x with Re x taken modulo 2r, the period of q^x, where |Re x| > 2r.
+
+    A large argument would carry its round-off into the phase; smaller ones
+    are returned unchanged, to the bit.
+    """
+    p = 2 * ctx.r
+    return np.where(np.abs(x.real) > p, x - p * np.floor(x.real / p), x)
+
+
 def qpow(ctx: QContext, x):
-    """q^x = exp(i*pi*x/r) for complex, array or jet x (arrays and jets entrywise)."""
+    """q^x = exp(i*pi*x/r) for complex, array or jet x (arrays and jets entrywise),
+    with Re x (on a jet, of its eps^0 slice) first reduced modulo 2r."""
     if isinstance(x, Jet):
+        if x.val == 0:
+            x = Jet(np.concatenate([_period_reduced(ctx, x.c[:1]), x.c[1:]]), 0)
         return ((1j * np.pi / ctx.r) * x).exp()
     if np.ndim(x):
-        return np.exp(1j * np.pi * np.asarray(x, dtype=complex) / ctx.r)
-    return complex(np.exp(1j * np.pi * complex(x) / ctx.r))
+        return np.exp(1j * np.pi * _period_reduced(ctx, np.asarray(x, dtype=complex)) / ctx.r)
+    return complex(np.exp(1j * np.pi * _period_reduced(ctx, complex(x)) / ctx.r))
 
 
 def qbracket(ctx: QContext, x):
@@ -57,9 +70,11 @@ def qbracket(ctx: QContext, x):
 
 
 def qint(ctx: QContext, x):
-    """[x] = {x}/{1} = sin(pi x / r)/sin(pi / r)."""
+    """[x] = {x}/{1} = sin(pi x / r)/sin(pi / r), entrywise on arrays and jets."""
     if isinstance(x, Jet):
         return ((np.pi / ctx.r) * x).sin() * (1.0 / np.sin(np.pi / ctx.r))
+    if np.ndim(x):
+        return np.sin(np.pi * np.asarray(x, dtype=complex) / ctx.r) / np.sin(np.pi / ctx.r)
     return complex(np.sin(np.pi * complex(x) / ctx.r) / np.sin(np.pi / ctx.r))
 
 

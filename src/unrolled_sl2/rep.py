@@ -211,14 +211,35 @@ def _assemble(dim: int, entries):
     return Jet(c, val)
 
 
-def _diag(v):
-    """Diagonal matrix, or jet matrix, with the vector or vector jet v on its diagonal."""
+def _diag(v, k: int = 0):
+    """Matrix, or jet matrix, with the vector or vector jet v on its k-th diagonal."""
     if not isinstance(v, Jet):
-        return np.diag(v)
-    d = v.shape[0]
+        return np.diag(v, k)
+    t = np.arange(v.shape[0])
+    d = len(t) + abs(k)
     c = np.zeros((v.order, d, d), dtype=complex)
-    c[:, np.arange(d), np.arange(d)] = v.c
+    c[:, t + max(-k, 0), t + max(k, 0)] = v.c
     return Jet(c, v.val)
+
+
+def _stack(mats):
+    """Float or jet matrices stacked on a new leading axis; jet-valued if any is.
+
+    A float matrix is exact; the jets are aligned to the lowest valuation
+    (at most 0) and truncated to their shared precision.
+    """
+    jets = [a for a in mats if isinstance(a, Jet)]
+    if not jets:
+        return np.stack(mats)
+    val = min(0, *(j.val for j in jets))
+    n = min(j.val + j.order for j in jets) - val
+    c = np.zeros((n, len(mats), *jets[0].shape), dtype=complex)
+    for t, a in enumerate(mats):
+        if isinstance(a, Jet):
+            c[a.val - val:, t] = a.c[:max(n - a.val + val, 0)]
+        elif -val < n:
+            c[-val, t] = a
+    return Jet(c, val)
 
 
 def mat_norm(m) -> float:
@@ -274,10 +295,11 @@ def make_module(ctx: QContext, label) -> WeightModule:
 
 def _make_typical(ctx: QContext, alpha) -> WeightModule:
     r = ctx.r
-    e = [(k - 1, k, qint(ctx, k) * qint(ctx, -alpha + k)) for k in range(1, r)]
-    f = [(k + 1, k, 1.0) for k in range(r - 1)]
+    k = np.arange(1, r)
     return _from_weights(ctx, Typical(alpha if isinstance(alpha, Jet) else complex(alpha)),
-                         alpha + np.arange(r - 1, -r, -2), e, f)
+                         alpha + np.arange(r - 1, -r, -2),
+                         _diag(qint(ctx, k) * qint(ctx, k - alpha), 1),
+                         np.eye(r, k=-1, dtype=complex))
 
 
 def _make_simple(ctx: QContext, i: int, k: int) -> WeightModule:
@@ -289,19 +311,20 @@ def _make_simple(ctx: QContext, i: int, k: int) -> WeightModule:
     # weights; it is exactly the E x K coproduct factor on the character
     e = [(j - 1, j, (-1) ** k * qint(ctx, j) * qint(ctx, i + 1 - j)) for j in range(1, dim)]
     f = [(j + 1, j, 1.0) for j in range(dim - 1)]
-    return _from_weights(ctx, Simple(i, k), i + k * r - 2 * np.arange(dim), e, f)
+    return _from_weights(ctx, Simple(i, k), i + k * r - 2 * np.arange(dim),
+                         _assemble(dim, e), _assemble(dim, f))
 
 
 def _make_onedim(ctx: QContext, k: int) -> WeightModule:
-    return _from_weights(ctx, OneDim(k), [k * ctx.r], [], [])
+    return _from_weights(ctx, OneDim(k), [k * ctx.r],
+                         np.zeros((1, 1), dtype=complex), np.zeros((1, 1), dtype=complex))
 
 
-def _from_weights(ctx, label, weights, e_entries, f_entries) -> WeightModule:
-    """Module with E, F from (row, col, value) triples and H, K, K^-1 from the weights."""
+def _from_weights(ctx, label, weights, E, F) -> WeightModule:
+    """Module with the given E and F, and H, K, K^-1 from the weights."""
     if not isinstance(weights, Jet):
         weights = np.asarray(weights, dtype=complex)
-    dim = weights.shape[0]
-    return WeightModule(ctx, label, dim, _assemble(dim, e_entries), _assemble(dim, f_entries),
+    return WeightModule(ctx, label, weights.shape[0], E, F,
                         _diag(qpow(ctx, weights)), _diag(qpow(ctx, -weights)),
                         _diag(weights), weights)
 
@@ -332,7 +355,8 @@ def _make_selfext(ctx: QContext, lam) -> WeightModule:
         if i <= r - 2:
             f.append((i + 1, i, 1.0))
             f.append((r + i + 1, r + i, 1.0))
-    m = _from_weights(ctx, SelfExt(complex(lam)), np.tile(lp - 2 * np.arange(r), 2), e, f)
+    m = _from_weights(ctx, SelfExt(complex(lam)), np.tile(lp - 2 * np.arange(r), 2),
+                      _assemble(2 * r, e), _assemble(2 * r, f))
     t = np.arange(r)
     m.H[r + t, t] = 1.0                       # Jordan step N on the plain copy
     m.K[r + t, t] = ipir * m.K[t, t]          # q^H = q^D (1 + (i pi / r) N)
@@ -409,7 +433,8 @@ def make_deformable(ctx: QContext, i: int, l: int, eps) -> WeightModule:
     # basis order L, H, S, R; the weight-lr character twists K by q^(lr) = sgn
     ks = np.concatenate([np.arange(i + 2 - 2 * r, -i - 1, 2), np.arange(-i, i + 1, 2),
                          np.arange(-i, i + 1, 2), np.arange(i + 2, 2 * r - 1 - i, 2)])
-    return _from_weights(ctx, DeformX(i, l, eps), ks + l * r + eps, e, f)
+    return _from_weights(ctx, DeformX(i, l, eps), ks + l * r + eps,
+                         _assemble(2 * r, e), _assemble(2 * r, f))
 
 
 # ---------------------------------------------------------------------------

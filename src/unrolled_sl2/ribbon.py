@@ -4,14 +4,18 @@ The ribbon convention is fixed: the coproduct E -> 1 x E + E x K (see
 rep.tensor) and the pivot K^(1-r) = q^((1-r) H) on the right duality.  The
 crossing on M x N is flip . Cartan . tail: the tail sum over ({1}^n / [n]!)
 q^(n(n-1)/2) E^n x F^n, the q-exponential of the nilpotent {1} E x F that
-truncates at n = r - 1 because E^r = F^r = 0, scaled row by row by the
-diagonal Cartan factor q^(H x H / 2), then the flip as a row gather.  The
-inverse crossing is built in closed form from the inverse factors
-(exp_q(x)^-1 = exp_(1/q)(-x) for the tail, q^(-H x H / 2) as a column
-scaling, and a column gather), and the inverse twist is the right partial
-trace of the inverse self-braiding, so nothing here inverts a matrix.  The
-pivot and the Cartan factor are each one qpow of weight vectors, so ribbon
-maps take modules with diagonal H and refuse the self-extension with
+truncates at n = r - 1 because E^r = F^r = 0, then the diagonal Cartan
+factor q^(H x H / 2), then the flip.  crossing() returns these three
+factors (the tail matrix, the Cartan vector and the flip's row index) and
+applies them to a state: a tail matmul, a row scaling and a row gather, so
+the tangle engine never builds a dense crossing.  The tail is one matmul
+over n of the stacked powers E^n and F^n.  The inverse crossing applies
+the inverse factors in reverse order (the gather, q^(-H x H / 2), and the
+tail with exp_q(x)^-1 = exp_(1/q)(-x)), and the inverse twist is the right
+partial trace of the inverse self-braiding, so nothing here inverts a
+matrix.  braiding_matrix is a crossing applied to the identity.  The pivot
+and the Cartan factor are each one qpow of weight vectors, so ribbon maps
+take modules with diagonal H and refuse the self-extension with
 NotProjectiveError.  Every map has one code path for float and jet
 matrices: jets index, reshape and transpose like arrays, and multiply
 float operands without promoting them.  calibrate() checks the convention
@@ -36,12 +40,12 @@ from .jets import Jet
 from .qnum import QContext, qbracket, qint, qpow
 from .rep import (
     DeformX, LinearMap, OneDim, Projective, SelfExt, Simple, Sum, Typical, WeightModule,
-    _diag, _kron, mat_norm,
+    _diag, _stack, mat_norm,
 )
 
 __all__ = [
     "CalibrationError", "NotProjectiveError", "NonScalarError",
-    "RibbonConfig", "calibrate", "get_config", "braiding_matrix",
+    "RibbonConfig", "Crossing", "calibrate", "get_config", "crossing", "braiding_matrix",
     "hopf_closed_form", "modified_dim", "modified_trace", "scalar_of",
 ]
 
@@ -110,40 +114,76 @@ def _cartan_part(ctx: QContext, m: WeightModule, n: WeightModule, sign: int):
     return qpow(ctx, 0.5 * sign * (_weights(m)[:, None] * _weights(n)[None, :])).reshape(-1)
 
 
+def _powers(a, n: int):
+    """a^0, ..., a^(n-1) of a float or jet matrix, stacked on a new leading axis."""
+    out = [np.eye(a.shape[-1], dtype=complex), a]
+    while len(out) < n:
+        out.append(out[-1] @ a)
+    return _stack(out)
+
+
 def _tail_part(ctx: QContext, m: WeightModule, n: WeightModule, sign: int):
-    """Sum over k of ((sign {1})^k / [k]!) q^(sign k(k-1)/2) E^k x F^k.
+    """Sum over k < r of ((sign {1})^k / [k]!) q^(sign k(k-1)/2) E^k x F^k.
 
     This is the q-exponential of the nilpotent {1} E x F; sign = -1 gives
-    its inverse, since exp_q(x)^-1 = exp_(1/q)(-x).
+    its inverse, since exp_q(x)^-1 = exp_(1/q)(-x).  The scaled E stack and
+    the F stack are contracted over k in one (dm^2, r) @ (r, dn^2) matmul,
+    whose (a c, b d) entries are swapped to the crossing's (a b, c d).
     """
-    br1 = sign * qbracket(ctx, 1)
-    acc = np.eye(m.dim * n.dim, dtype=complex)  # promoted by a jet term
-    fact = 1.0 + 0j
-    Ep, Fp = m.E, n.F
-    for k in range(1, ctx.r):
-        fact *= qint(ctx, k)
-        coef = br1 ** k / fact * qpow(ctx, sign * k * (k - 1) / 2)
-        acc = acc + coef * _kron(Ep, Fp)
-        if k < ctx.r - 1:
-            Ep = Ep @ m.E
-            Fp = Fp @ n.F
-    return acc
+    r, dm, dn = ctx.r, m.dim, n.dim
+    k = np.arange(r)
+    fact = np.cumprod(np.concatenate([[1.0], qint(ctx, k[1:])]))
+    coef = (sign * qbracket(ctx, 1)) ** k / fact * qpow(ctx, sign * k * (k - 1) / 2)
+    E = coef[:, None, None] * _powers(m.E, r)
+    F = _powers(n.F, r)
+
+    def contract(e, f):
+        t = np.matmul(np.swapaxes(e.reshape(*e.shape[:-3], r, dm * dm), -1, -2),
+                      f.reshape(*f.shape[:-3], r, dn * dn))
+        t = t.reshape(*t.shape[:-2], dm, dm, dn, dn).swapaxes(-3, -2)
+        return t.reshape(*t.shape[:-4], dm * dn, dm * dn)
+
+    if isinstance(E, Jet):
+        return E.combine(F, contract)
+    if isinstance(F, Jet):
+        return F.combine(E, lambda f, e: contract(e, f))
+    return contract(E, F)
+
+
+@dataclass(frozen=True, eq=False)
+class Crossing:
+    """The braiding M x N -> N x M as its three factors, applied to a state.
+
+    For sign = +1 the tail and the Cartan vector live on M x N and the map
+    is flip . Cartan . tail.  For sign = -1 they are the inverse factors on
+    N x M and the map is tail . Cartan . flip, the inverse of the crossing
+    N x M -> M x N.  The flip is the same row gather M x N -> N x M for both.
+    """
+
+    sign: int
+    tail: object
+    cartan: object
+    flip: np.ndarray
+
+    def __call__(self, x):
+        """The crossing applied to x over its rows (axis -2): a matrix, or a
+        state viewed as (L, rows, R*batch).  x and the factors may each be
+        float or jet."""
+        if self.sign == 1:
+            return (self.cartan[:, None] * (self.tail @ x))[..., self.flip, :]
+        return self.tail @ (self.cartan[:, None] * x[..., self.flip, :])
+
+
+def crossing(cfg: RibbonConfig, m: WeightModule, n: WeightModule, sign: int = 1) -> Crossing:
+    """Factors of the braiding M x N -> N x M (sign = -1 for the inverse crossing)."""
+    a, b = (m, n) if sign == 1 else (n, m)
+    return Crossing(sign, _tail_part(cfg.ctx, a, b, sign), _cartan_part(cfg.ctx, a, b, sign),
+                    _flip_index(m.dim, n.dim))
 
 
 def braiding_matrix(cfg: RibbonConfig, m: WeightModule, n: WeightModule, sign: int = 1):
-    """Matrix of the braiding M x N -> N x M (sign = -1 for the inverse crossing).
-
-    The crossing is flip . Cartan . tail on M x N.  Its inverse is the
-    inverse of the crossing N x M -> M x N: inverse tail . inverse Cartan .
-    inverse flip, each factor in closed form.  The diagonal Cartan factor
-    acts as a row scaling of the tail, or a column scaling for the inverse.
-    """
-    ctx = cfg.ctx
-    if sign == 1:
-        cartan = _cartan_part(ctx, m, n, 1)
-        return (cartan[:, None] * _tail_part(ctx, m, n, 1))[_flip_index(m.dim, n.dim)]
-    cartan = _cartan_part(ctx, n, m, -1)
-    return (_tail_part(ctx, n, m, -1) * cartan[None, :])[:, _flip_index(n.dim, m.dim)]
+    """Matrix of the braiding M x N -> N x M: its crossing applied to the identity."""
+    return crossing(cfg, m, n, sign)(np.eye(m.dim * n.dim, dtype=complex))
 
 
 def twist_matrix(cfg: RibbonConfig, m: WeightModule, sign: int = 1):

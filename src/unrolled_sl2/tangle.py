@@ -5,7 +5,10 @@ braidings, twists, cups and caps.  Parsing enforces the strand-word
 discipline (labels and dual flags must compose and return to the single
 open color), presets expand to frozen slice words at parse time, and the
 evaluator contracts one slice gate at a time into a batched state vector,
-so tensor words never materialize full composite matrices.
+so tensor words never materialize full composite matrices.  The state
+starts as a plain identity and turns into a jet at the first jet gate; a
+crossing is applied to it as its factors (ribbon.crossing), never as a
+dense matrix.
 
 Frozen preset normal forms (the cap color of bare coev slices is the open
 color; `insert` is the colored left coevaluation):
@@ -30,7 +33,7 @@ from .rep import (
     WeightModule, dual, format_label, hom_space, make_module, mat_norm,
 )
 from .ribbon import (
-    RibbonConfig, braiding_matrix, coev_left, coev_right, ev_left, ev_right,
+    Crossing, RibbonConfig, coev_left, coev_right, crossing, ev_left, ev_right,
     modified_trace, twist_matrix,
 )
 
@@ -355,17 +358,18 @@ class _ModuleCache:
         return self.store[key]
 
 
-def _contract(state: Jet, dims, batch, pos, nin, gate, out_dims):
-    """Contract a gate over strands [pos, pos+nin) of the batched state.
+def _contract(state, dims, batch, pos, nin, gate, out_dims):
+    """Apply a gate over strands [pos, pos+nin) of the batched state.
 
-    The state is viewed as (L, din, R*batch) and each gate slice (a float
-    gate is one) multiplies the whole coefficient stack in one matmul,
-    broadcast over the order axis and the L strands to the left.
+    The state, float or jet, is viewed as (L, din, R*batch).  A crossing
+    applies its factors to that view; a gate matrix multiplies it, broadcast
+    over the L strands to the left and, on a jet, over its coefficient slices.
     """
     L = prod(dims[:pos - 1])
     din = prod(dims[pos - 1:pos - 1 + nin])
     R = prod(dims[pos - 1 + nin:])
-    out = state.reshape(L, din, R * batch).combine(gate, lambda s, g: np.matmul(g, s))
+    view = state.reshape(L, din, R * batch)
+    out = gate(view) if isinstance(gate, Crossing) else gate @ view
     new_dims = list(dims[:pos - 1]) + list(out_dims) + list(dims[pos - 1 + nin:])
     return out.reshape(-1, batch), new_dims
 
@@ -392,9 +396,8 @@ def eval_tangle(cfg: RibbonConfig, expr: TangleExpr,
     jetness = open_module.is_jet or any(
         isinstance(s, Insert) and isinstance(s.color, DeformX) and isinstance(s.color.eps, Jet)
         for s in expr.slices)
-    order = ctx.jet_order if jetness else 1
     dW = open_module.dim
-    state = as_jet(np.eye(dW, dtype=complex), order)  # batched over basis columns
+    state = np.eye(dW, dtype=complex)  # batched over basis columns; a jet from the first jet gate
     dims = [dW]
     scale = 1.0  # largest |state| entry, the round-off scale of the contraction
 
@@ -404,7 +407,7 @@ def eval_tangle(cfg: RibbonConfig, expr: TangleExpr,
             lb, db = word[s.pos]
             A = mods.get(la, da)
             B = mods.get(lb, db)
-            gate = braiding_matrix(cfg, A, B, s.sign)
+            gate = crossing(cfg, A, B, s.sign)
             state, dims = _contract(state, dims, dW, s.pos, 2, gate, (B.dim, A.dim))
             word[s.pos - 1], word[s.pos] = word[s.pos], word[s.pos - 1]
         elif isinstance(s, TwistSlice):
@@ -438,10 +441,12 @@ def eval_tangle(cfg: RibbonConfig, expr: TangleExpr,
             gate = ev_left(cfg, A) if s.side == "L" else ev_right(cfg, A)
             state, dims = _contract(state, dims, dW, s.pos, 2, gate, ())
             del word[s.pos - 1:s.pos + 1]
-        scale = max(scale, state.norm())
+        scale = max(scale, mat_norm(state))
 
     mat = state.reshape(dW, dW)
-    return LinearMap(open_module, open_module, mat if jetness else mat.limit(), scale)
+    if jetness and not isinstance(mat, Jet):  # no jet gate was applied
+        mat = as_jet(mat, ctx.jet_order)
+    return LinearMap(open_module, open_module, mat, scale)
 
 
 def renormalized_invariant(cfg: RibbonConfig, expr: TangleExpr,

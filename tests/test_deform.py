@@ -59,6 +59,21 @@ def test_log_hopf_large_twists_keep_the_constant(r):
                 assert d.b == pytest.approx(cb, rel=1e-8, abs=1e-9)
 
 
+def test_log_hopf_huge_twists_keep_b_at_r6():
+    """At r = 6 the Cartan factor's arguments reach k r lambda ~ 1e4 for k =
+    +-1000; reducing them modulo 2r before exp keeps b to the 1e-8 check of
+    log_hopf."""
+    ctx = QContext(6)
+    cfg = get_config(ctx)
+    for k in (1000, -1000):
+        for i in range(ctx.r - 1):
+            for j in range(ctx.r - 1):
+                d = log_hopf(cfg, Simple(i, k), j, 0)  # raises MismatchError on disagreement
+                ca, cb = log_hopf_closed(ctx, Simple(i, k), j, 0)
+                assert d.a == pytest.approx(ca, rel=1e-9, abs=1e-9)
+                assert d.b == pytest.approx(cb, rel=1e-8, abs=1e-9)
+
+
 def test_unit_closed_color():
     ctx = QContext(3)
     cfg = get_config(ctx)

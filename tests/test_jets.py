@@ -182,10 +182,49 @@ def test_products_match_a_naive_cauchy_product():
     check(k32.kron(M), k32, M, np.kron)
     check(k23.rkron(M), M, k23, np.kron)
     # the tangle contraction: a gate over the middle strands of a batched state
-    state, gate, G = rj(6, 0, 2, 3, 8), rj(4, 1, 5, 3), rm(5, 3)
+    state, gate, G, S = rj(6, 0, 2, 3, 8), rj(4, 1, 5, 3), rm(5, 3), rm(2, 3, 8)
+    over = lambda gt, st: np.einsum("xy,lyr->lxr", gt, st)
     for g in (gate, G):
         check(state.combine(g, lambda st, gt: np.matmul(gt, st)), state, g,
-              lambda st, gt: np.einsum("xy,lyr->lxr", gt, st))
+              lambda st, gt: over(gt, st))
+        check(g @ state, g, state, over)
+    check(gate @ S, gate, S, over)                             # a jet gate on a plain state
+
+
+def test_plain_operands_add_like_promoted_ones_bit_for_bit():
+    """+ and - with a plain scalar or array add it into the eps^0 slice, and give
+    the very valuation and coefficients of the sum with as_jet(plain, order),
+    for valuations below, at and above 0 and where the sum cancels.  Every
+    coefficient is the same double; only the sign of an exact zero may differ,
+    as the promoted operand's padding is +0 or, negated, -0."""
+    rng = np.random.default_rng(23)
+
+    def rc(order, *shape):
+        return rng.normal(size=(order, *shape)) + 1j * rng.normal(size=(order, *shape))
+
+    def same(got, want):
+        assert got.val == want.val and got.c.shape == want.c.shape
+        assert np.array_equal(got.c, want.c)
+
+    M, x = rc(1, 2, 2)[0], 0.7 - 0.2j
+    cases = []
+    for val in (-2, 0, 3):
+        for shape, plain in [((), x), ((2, 2), M), ((), M), ((2, 2), x)]:
+            cases.append((Jet(rc(5, *shape), val), plain))
+    c = rc(5, 2, 2)
+    c[0], c[1] = M, 0.0
+    cases.append((Jet(c, 0), -M))                              # cancels slices 0 and 1
+    c = rc(5)
+    c[0], c[2] = 0.0, x
+    cases.append((Jet(c, -2), -x))                             # zero lead, cancels at eps^0
+    cases.append((Jet(rc(5), 6), x))                           # the constant outruns the jet
+    for a, b in cases:
+        p = as_jet(b, a.order)
+        same(a + b, a + p)
+        same(b + a, p + a)
+        same(a - b, a - p)
+        same(b - a, p - a)
+    assert (cases[-3][0] + cases[-3][1]).val == 2
 
 
 @settings(max_examples=60, deadline=None)

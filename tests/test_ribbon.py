@@ -6,7 +6,7 @@ import pytest
 from unrolled_sl2.jets import Jet
 from unrolled_sl2.qnum import QContext, qpow
 from unrolled_sl2.rep import (
-    DeformX, LinearMap, OneDim, Projective, SelfExt, Simple, Typical, direct_sum,
+    DeformX, LinearMap, OneDim, Projective, SelfExt, Simple, Typical, direct_sum, dual,
     hom_space, make_deformable, make_module, tensor,
 )
 from unrolled_sl2.ribbon import (
@@ -15,7 +15,7 @@ from unrolled_sl2.ribbon import (
     get_config, hopf_closed_form, modified_dim, modified_trace, scalar_of,
     twist_matrix,
 )
-from unrolled_sl2.tangle import eval_tangle, hopf_tangle
+from unrolled_sl2.tangle import Braid, Ev, Insert, TangleExpr, eval_tangle, hopf_tangle
 
 RS = [2, 3, 4, 5]
 
@@ -287,3 +287,75 @@ def test_jet_gates_match_float_gates_off_zero(r):
             check(twist_matrix(cfg, xj, sign), twist_matrix(cfg, xt, sign))
     for sign in (1, -1):
         check(twist_matrix(cfg, vj, sign), twist_matrix(cfg, vt, sign))
+
+
+def _textbook_crossing(r, m, n):
+    """Dense crossing M x N -> N x M as P . D . T, built without the library's
+    factors: T = sum_k ({1}^k / [k]!) q^(k(k-1)/2) kron(E^k, F^k), D the
+    diagonal matrix of q^(w_a w_b / 2), P the flip's permutation matrix."""
+    q = np.exp(1j * np.pi / r)
+    br1 = q - 1 / q
+    dm, dn = m.dim, n.dim
+    T = np.zeros((dm * dn, dm * dn), dtype=complex)
+    fact = 1.0
+    for k in range(r):
+        if k:
+            fact *= (q ** k - q ** -k) / br1
+        T += (br1 ** k / fact * q ** (k * (k - 1) / 2)
+              * np.kron(np.linalg.matrix_power(m.E, k), np.linalg.matrix_power(n.F, k)))
+    D = np.diag(np.exp(1j * np.pi / r * np.kron(m.weights, n.weights) / 2))
+    P = np.zeros((dm * dn, dm * dn))
+    for a in range(dm):
+        for b in range(dn):
+            P[b * dm + a, a * dn + b] = 1.0
+    return P @ D @ T
+
+
+def _oracle_modules(ctx):
+    r = ctx.r
+    labels = [Typical(0.37 - 0.21j), Simple(r - 2, 1), Simple(0, -1), Projective(0, 1),
+              Projective(r - 2, -1)]
+    mods = [make_module(ctx, lab) for lab in labels]
+    return mods + [dual(mods[0]), dual(mods[3])]
+
+
+@pytest.mark.parametrize("r", RS + [6])
+def test_factored_crossing_matches_the_textbook_crossing(r):
+    """braiding_matrix, both signs, against a dense textbook crossing and the
+    numerical inverse of the opposite one, on float modules and duals."""
+    ctx = QContext(r)
+    cfg = get_config(ctx)
+    mods = _oracle_modules(ctx)
+    for m in mods:
+        for n in mods:
+            want = _textbook_crossing(r, m, n)
+            got = braiding_matrix(cfg, m, n, 1)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (m, n)
+            want = np.linalg.inv(_textbook_crossing(r, n, m))
+            got = braiding_matrix(cfg, m, n, -1)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (m, n)
+
+
+@pytest.mark.parametrize("r", RS + [6])
+def test_tangle_crossings_match_a_dense_composite(r):
+    """eval_tangle on a 3-strand braid word, against the product of dense
+    textbook crossings and dualities padded with identities."""
+    ctx = QContext(r)
+    cfg = get_config(ctx)
+    z_label = Projective(r - 2, 1) if r % 2 else Simple(r - 2, -1)
+    v, z = make_module(ctx, Typical(0.43 + 0.12j)), make_module(ctx, z_label)
+    word = [v, z, dual(z)]
+    slices = [Braid(1, 1), Braid(2, -1), Braid(2, -1), Braid(1, 1), Braid(2, 1), Braid(2, 1)]
+    eye = lambda mods: np.eye(int(np.prod([x.dim for x in mods])))
+    total = np.kron(eye(word[:1]), coev_left(cfg, z))
+    for s in slices:
+        a, b = word[s.pos - 1], word[s.pos]
+        c = _textbook_crossing(r, a, b) if s.sign == 1 else np.linalg.inv(
+            _textbook_crossing(r, b, a))
+        total = np.kron(np.kron(eye(word[:s.pos - 1]), c), eye(word[s.pos + 1:])) @ total
+        word[s.pos - 1], word[s.pos] = b, a
+    assert word[1] is z
+    total = np.kron(eye(word[:1]), ev_right(cfg, z)) @ total
+    expr = TangleExpr(Typical(0.43 + 0.12j), (Insert(2, z_label), *slices, Ev(2, "R")))
+    got = eval_tangle(cfg, expr).matrix
+    assert np.max(np.abs(got - total)) <= 1e-12 * np.max(np.abs(total))
