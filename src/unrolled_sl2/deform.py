@@ -24,7 +24,9 @@ from .rep import (
     make_module, mat_limit,
 )
 from .ribbon import RibbonConfig, modified_dim, scalar_of
-from .tangle import EndoDecomp, TangleExpr, decompose_endo, eval_tangle, hopf_tangle
+from .tangle import (
+    EndoDecomp, TangleExpr, decompose_endo, eval_tangle, hopf_tangle, nilpotent_endo,
+)
 
 __all__ = [
     "CrossCheckError", "MismatchError", "LogInvariantResult", "DimLimitReport",
@@ -148,7 +150,6 @@ def log_hopf(cfg: RibbonConfig, z_label, j: int, l: int) -> EndoDecomp:
         raise MismatchError(
             f"limit machinery vs closed form for {z_label}: "
             f"a {res.a} vs {ca}, b {res.b} vs {cb}")
-    from .tangle import nilpotent_endo
     x0 = make_module(cfg.ctx, Projective(j, l))
     return EndoDecomp(res.a, res.b, (np.eye(x0.dim), nilpotent_endo(x0)), err)
 

@@ -322,7 +322,12 @@ class Jet:
 
     @property
     def T(self) -> "Jet":
-        return Jet(np.swapaxes(self.c, -1, -2), self.val)
+        return self.swapaxes(-1, -2)
+
+    def swapaxes(self, a1: int, a2: int) -> "Jet":
+        """Swap two axes of every coefficient slice alike, as ndarray.swapaxes."""
+        ax = lambda a: a + 1 if a >= 0 else a
+        return Jet(np.swapaxes(self.c, ax(a1), ax(a2)), self.val)
 
     def __getitem__(self, index) -> "Jet":
         """Index every coefficient slice alike: J[i, j], J[a:b, c:d], J[:, idx]."""

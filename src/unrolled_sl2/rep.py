@@ -242,6 +242,14 @@ def _stack(mats):
     return Jet(c, val)
 
 
+def _powers(a, n: int):
+    """a^0, ..., a^(n-1) of a float or jet matrix, stacked on a new leading axis."""
+    out = [np.eye(a.shape[-1], dtype=complex), a]
+    while len(out) < n:
+        out.append(out[-1] @ a)
+    return _stack(out)
+
+
 def mat_norm(m) -> float:
     if isinstance(m, Jet):
         return m.norm()
@@ -521,8 +529,8 @@ def verify_relations(m: WeightModule) -> RelationReport:
     res["[H,F]=-2F"] = _rel_residual([H @ F, -1 * (F @ H), 2 * F])
     comm_rhs = (1.0 / (ctx.q - 1 / ctx.q)) * (K - Ki)
     res["[E,F]=(K-K^-1)/(q-q^-1)"] = _rel_residual([E @ F, -1 * (F @ E), -1 * comm_rhs])
-    Ep = _matpow(E, ctx.r)
-    Fp = _matpow(F, ctx.r)
+    Ep = _powers(E, ctx.r + 1)[ctx.r]
+    Fp = _powers(F, ctx.r + 1)[ctx.r]
     scaleE = max(1.0, mat_norm(E)) ** ctx.r
     scaleF = max(1.0, mat_norm(F)) ** ctx.r
     res["E^r=0"] = mat_norm(Ep) / scaleE
@@ -531,13 +539,6 @@ def verify_relations(m: WeightModule) -> RelationReport:
     res["q^H=K"] = _qh_equals_k_residual(m)
     failed = [name for name, v in res.items() if v > ctx.tol]
     return RelationReport(max(res.values()), failed, res)
-
-
-def _matpow(a, n: int):
-    out = a
-    for _ in range(n - 1):
-        out = out @ a
-    return out
 
 
 def _qh_equals_k_residual(m: WeightModule) -> float:

@@ -11,9 +11,13 @@ applies them to a state: a tail matmul, a row scaling and a row gather, so
 the tangle engine never builds a dense crossing.  The tail is one matmul
 over n of the stacked powers E^n and F^n.  The inverse crossing applies
 the inverse factors in reverse order (the gather, q^(-H x H / 2), and the
-tail with exp_q(x)^-1 = exp_(1/q)(-x)), and the inverse twist is the right
-partial trace of the inverse self-braiding, so nothing here inverts a
-matrix.  braiding_matrix is a crossing applied to the identity.  The pivot
+tail with exp_q(x)^-1 = exp_(1/q)(-x)), so nothing here inverts a matrix.
+braiding_matrix is a crossing applied to the identity.  The twist of sign s
+(s = -1: the inverse twist) is the right partial trace of the self-braiding
+against the pivot, taken in closed form on d x d matrices:
+theta^s = sum_(n<r) c_n X^n K^(1-r) Y^n q^(s H (H + 2sn) / 2), with c_n the
+tail's coefficients and (X, Y) = (F, E) or (E, F), because E^n and F^n shift
+weights by exactly +-2n; it is one matmul over the stacked powers.  The pivot
 and the Cartan factor are each one qpow of weight vectors, so ribbon maps
 take modules with diagonal H and refuse the self-extension with
 NotProjectiveError.  Every map has one code path for float and jet
@@ -40,7 +44,7 @@ from .jets import Jet
 from .qnum import QContext, qbracket, qint, qpow
 from .rep import (
     DeformX, LinearMap, OneDim, Projective, SelfExt, Simple, Sum, Typical, WeightModule,
-    _diag, _stack, mat_norm,
+    _diag, _powers, mat_norm,
 )
 
 __all__ = [
@@ -114,40 +118,26 @@ def _cartan_part(ctx: QContext, m: WeightModule, n: WeightModule, sign: int):
     return qpow(ctx, 0.5 * sign * (_weights(m)[:, None] * _weights(n)[None, :])).reshape(-1)
 
 
-def _powers(a, n: int):
-    """a^0, ..., a^(n-1) of a float or jet matrix, stacked on a new leading axis."""
-    out = [np.eye(a.shape[-1], dtype=complex), a]
-    while len(out) < n:
-        out.append(out[-1] @ a)
-    return _stack(out)
+def _tail_coefs(ctx: QContext, sign: int) -> np.ndarray:
+    """((sign {1})^k / [k]!) q^(sign k(k-1)/2) for k < r: the coefficients of
+    the q-exponential exp_q({1} x) for sign = +1, of its inverse for sign = -1."""
+    k = np.arange(ctx.r)
+    fact = np.cumprod(np.concatenate([[1.0], qint(ctx, k[1:])]))
+    return (sign * qbracket(ctx, 1)) ** k / fact * qpow(ctx, sign * k * (k - 1) / 2)
 
 
 def _tail_part(ctx: QContext, m: WeightModule, n: WeightModule, sign: int):
-    """Sum over k < r of ((sign {1})^k / [k]!) q^(sign k(k-1)/2) E^k x F^k.
+    """Sum over k < r of _tail_coefs[k] E^k x F^k.
 
     This is the q-exponential of the nilpotent {1} E x F; sign = -1 gives
     its inverse, since exp_q(x)^-1 = exp_(1/q)(-x).  The scaled E stack and
     the F stack are contracted over k in one (dm^2, r) @ (r, dn^2) matmul,
-    whose (a c, b d) entries are swapped to the crossing's (a b, c d).
+    whose (a c, b d) entries are transposed to the crossing's (a b, c d).
     """
     r, dm, dn = ctx.r, m.dim, n.dim
-    k = np.arange(r)
-    fact = np.cumprod(np.concatenate([[1.0], qint(ctx, k[1:])]))
-    coef = (sign * qbracket(ctx, 1)) ** k / fact * qpow(ctx, sign * k * (k - 1) / 2)
-    E = coef[:, None, None] * _powers(m.E, r)
-    F = _powers(n.F, r)
-
-    def contract(e, f):
-        t = np.matmul(np.swapaxes(e.reshape(*e.shape[:-3], r, dm * dm), -1, -2),
-                      f.reshape(*f.shape[:-3], r, dn * dn))
-        t = t.reshape(*t.shape[:-2], dm, dm, dn, dn).swapaxes(-3, -2)
-        return t.reshape(*t.shape[:-4], dm * dn, dm * dn)
-
-    if isinstance(E, Jet):
-        return E.combine(F, contract)
-    if isinstance(F, Jet):
-        return F.combine(E, lambda f, e: contract(e, f))
-    return contract(E, F)
+    E = _tail_coefs(ctx, sign)[:, None, None] * _powers(m.E, r)
+    t = E.reshape(r, dm * dm).T @ _powers(n.F, r).reshape(r, dn * dn)
+    return t.reshape(dm, dm, dn, dn).swapaxes(1, 2).reshape(dm * dn, dm * dn)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,16 +177,21 @@ def braiding_matrix(cfg: RibbonConfig, m: WeightModule, n: WeightModule, sign: i
 
 
 def twist_matrix(cfg: RibbonConfig, m: WeightModule, sign: int = 1):
-    """Twist on a module: right partial trace of the self-braiding of the same sign.
+    """Twist on a module (sign = -1: the inverse twist), in closed form.
 
-    The negative curl is the inverse twist, so sign = -1 needs no inversion.
+    With s = sign, p = cfg.pivot_exponent and (X, Y) = (F, E) for s = +1,
+    (E, F) for s = -1, the closed form of the module docstring is
+    sum_(n<r) c_n X^n K^p Y^n q^(s H (H + 2sn) / 2).  Moving K^p past Y^n
+    gives sum_n c_n X^n Y^n q^(s (H + 2sn)(H + 2sp) / 2): one matmul of the
+    stacked powers of X against those of Y with scaled columns.
     """
-    c = braiding_matrix(cfg, m, m, sign)
-    G = _pivot_matrix(cfg, m)
-    d = m.dim
-    ptrace = lambda cs, gs: np.einsum("...abvj,...jb->...av",
-                                      cs.reshape(*cs.shape[:-2], d, d, d, d), gs)
-    return c.combine(G, ptrace) if isinstance(c, Jet) else ptrace(c, G)
+    ctx, r, d, p = cfg.ctx, cfg.ctx.r, m.dim, cfg.pivot_exponent
+    w, n = _weights(m), np.arange(r)[:, None]
+    X, Y = (m.F, m.E) if sign == 1 else (m.E, m.F)
+    cols = _tail_coefs(ctx, sign)[:, None] * qpow(ctx, sign * (w + 2 * sign * n)
+                                                  * (w + 2 * sign * p) / 2)
+    Y = _powers(Y, r) * cols[:, None, :]
+    return _powers(X.T, r).reshape(r * d, d).T @ Y.reshape(r * d, d)
 
 
 # ---------------------------------------------------------------------------

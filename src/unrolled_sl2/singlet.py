@@ -117,28 +117,12 @@ def parse_singlet_label(text: str):
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 'a', 'bi', or 'a+bi' literals (also accepting 'j' for the unit)."""
-    import re as _re
-    t = text.strip().replace(" ", "")
-    t = t.replace("I", "i").replace("j", "i")
-    m = _re.fullmatch(r"([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?"
-                      r"(?:([+-](?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)i)?", t)
-    if not m or (m.group(1) is None and m.group(2) is None):
-        m2 = _re.fullmatch(r"([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?i", t)
-        if m2:
-            g = m2.group(1)
-            return complex(0.0, float(g) if g not in (None, "", "+", "-") else
-                           (1.0 if g != "-" else -1.0))
+    """Parse 'a', 'bi' or 'a+bi' literals; spaces are ignored and I or j also
+    name the unit.  Any other character (as in nan, inf or 1_0) is refused."""
+    t = "".join(text.split()).replace("I", "j").replace("i", "j")
+    if set(t) - set("0123456789.eE+-j"):
         raise ValueError(f"bad complex literal {text!r}")
-    re_part = float(m.group(1)) if m.group(1) else 0.0
-    im_tok = m.group(2)
-    if im_tok is None:
-        return complex(re_part, 0.0)
-    if im_tok in ("+", "-"):
-        im = 1.0 if im_tok == "+" else -1.0
-    else:
-        im = float(im_tok)
-    return complex(re_part, im)
+    return complex(t)
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,7 @@ def test_scalar_jet_broadcasts_across_entries():
 
 
 def test_matrix_jet_indexes_like_each_slice():
-    """Indexing and reshaping a jet act on every coefficient slice alike."""
+    """Indexing, reshaping and swapping axes of a jet act on every coefficient slice alike."""
     rng = np.random.default_rng(5)
     c = rng.normal(size=(3, 4, 6)) + 1j * rng.normal(size=(3, 4, 6))
     x = Jet(c, -1)
@@ -125,7 +125,10 @@ def test_matrix_jet_indexes_like_each_slice():
              (x[idx % 4], lambda s: s[idx % 4]),
              (x[1:3, 2:5], lambda s: s[1:3, 2:5]),
              (x.reshape(2, 12), lambda s: s.reshape(2, 12)),
-             (x.reshape((8, 3)), lambda s: s.reshape(8, 3))]
+             (x.reshape((8, 3)), lambda s: s.reshape(8, 3)),
+             (x.T, lambda s: s.T),
+             (x.reshape(2, 2, 6).swapaxes(0, 2), lambda s: s.reshape(2, 2, 6).swapaxes(0, 2)),
+             (x.reshape(2, 2, 6).swapaxes(-3, 1), lambda s: s.reshape(2, 2, 6).swapaxes(-3, 1))]
     for got, op in cases:
         assert got.val == -1 and got.order == 3
         for k in range(3):

@@ -336,6 +336,35 @@ def test_factored_crossing_matches_the_textbook_crossing(r):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (m, n)
 
 
+_TWIST_COLOURS = {
+    "typical": lambda r: Typical(0.37 - 0.21j),
+    "simple": lambda r: Simple(r - 2, 1),
+    "one-dim": lambda r: OneDim(-1),
+    "projective": lambda r: Projective(0, 1),
+    "projective-top": lambda r: Projective(r - 2, -1),
+}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("dualised", [False, True])
+@pytest.mark.parametrize("colour", list(_TWIST_COLOURS))
+@pytest.mark.parametrize("r", RS + [6])
+def test_twist_matches_the_textbook_partial_trace(r, colour, dualised, sign):
+    """twist_matrix against the right partial trace of the dense textbook
+    self-crossing (its numerical inverse for sign = -1) with an explicit
+    pivot matrix K^(1-r)."""
+    ctx = QContext(r)
+    m = make_module(ctx, _TWIST_COLOURS[colour](r))
+    m = dual(m) if dualised else m
+    d = m.dim
+    c = _textbook_crossing(r, m, m)
+    c = c if sign == 1 else np.linalg.inv(c)
+    pivot = np.diag(np.exp(1j * np.pi / r * (1 - r) * m.weights))
+    want = np.einsum("abvj,jb->av", c.reshape(d, d, d, d), pivot)
+    got = twist_matrix(get_config(ctx), m, sign)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("r", RS + [6])
 def test_tangle_crossings_match_a_dense_composite(r):
     """eval_tangle on a 3-strand braid word, against the product of dense

@@ -202,5 +202,10 @@ def test_parse_complex():
     assert parse_complex("1.5") == 1.5
     assert parse_complex("2i") == 2j
     assert parse_complex("-1e-3-0.25i") == complex(-0.001, -0.25)
-    with pytest.raises(ValueError):
-        parse_complex("zebra")
+    assert parse_complex("-i") == -1j
+    assert parse_complex("1+i") == 1 + 1j
+    assert parse_complex("3I") == 3j
+    assert parse_complex("1 + 2i") == 1 + 2j
+    for bad in ("zebra", "nan", "inf", "1_0", "", "+"):
+        with pytest.raises(ValueError):
+            parse_complex(bad)
