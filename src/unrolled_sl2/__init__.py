@@ -12,7 +12,7 @@ from .rep import (
     verify_relations,
 )
 from .ribbon import (
-    CalibrationError, NonScalarError, NotProjectiveError, RibbonConfig,
+    CalibrationError, NoClosedFormError, NonScalarError, NotProjectiveError, RibbonConfig,
     braiding_matrix, calibrate, get_config, hopf_closed_form, modified_dim,
     modified_trace, scalar_of,
 )

@@ -18,11 +18,11 @@ import numpy as np
 from .qnum import QContext
 from .rep import (
     DeformX, OneDim, Projective, SelfExt, Simple, Typical, format_label,
-    make_module, module_dump, verify_relations,
+    make_module, module_dump, projective_cover, verify_relations,
 )
 from .ribbon import (
-    NotProjectiveError, calibrate, get_config, hopf_closed_form, modified_trace,
-    scalar_of,
+    NoClosedFormError, NotProjectiveError, calibrate, get_config, hopf_closed_form,
+    modified_trace, scalar_of,
 )
 from .singlet import (
     BoundaryError, DomainError, RegimeError, compare_hopf_qdim, fuse,
@@ -105,10 +105,9 @@ def cmd_hopf(args) -> int:
     if args.alpha is not None and isinstance(closed, Typical):
         closed = Typical(parse_complex(args.alpha))
     beta = parse_complex(args.beta)
-    w = make_module(ctx, Typical(beta))
-    lm = eval_tangle(cfg, hopf_tangle(Typical(beta), closed))
-    got = scalar_of(lm.matrix, w.dim, ctx.tol, lm.scale)
     want = hopf_closed_form(ctx, closed, beta)
+    lm = eval_tangle(cfg, hopf_tangle(Typical(beta), closed))
+    got = scalar_of(lm.matrix, lm.source.dim, ctx.tol, lm.scale)
     diff = abs(got - want) / max(1.0, abs(want))
     _emit({"command": "hopf", "r": args.r, "closed": format_label(closed),
            "beta": _cnum(beta), "engine": _cnum(got), "closed_form": _cnum(want),
@@ -120,9 +119,8 @@ def cmd_loghopf(args) -> int:
     ctx = _ctx(args)
     cfg = get_config(ctx)
     z = parse_color(args.Z)
-    expr = hopf_tangle(Projective(args.j, args.l), z)
-    res = log_tangle_invariant(cfg, expr)
     ca, cb = log_hopf_closed(ctx, z, args.j, args.l)
+    res = log_tangle_invariant(cfg, hopf_tangle(Projective(args.j, args.l), z))
     diff = max(abs(res.a - ca) / max(1.0, abs(ca)), abs(res.b - cb) / max(1.0, abs(cb)))
     _emit({"command": "loghopf", "r": args.r, "Z": format_label(z),
            "j": args.j, "l": args.l,
@@ -139,8 +137,7 @@ def cmd_tangle(args) -> int:
     cfg = get_config(ctx)
     expr = parse_tangle(args.expr)
     payload = {"command": "tangle", "r": args.r, "normal_form": str(expr)}
-    if isinstance(expr.open_color, (Projective,)) or (
-            isinstance(expr.open_color, DeformX) and expr.open_color.eps == 0):
+    if projective_cover(expr.open_color) is not None:
         res = log_tangle_invariant(cfg, expr)
         payload.update({
             "invariant": _cnum(res.trace),
@@ -328,8 +325,8 @@ def main(argv=None) -> int:
             ap.error("--j is required in strip mode")
     try:
         return args.fn(args)
-    except (DomainError, BoundaryError, RegimeError, NotProjectiveError, ValueError,
-            SyntaxError) as exc:
+    except (DomainError, BoundaryError, RegimeError, NotProjectiveError, NoClosedFormError,
+            ValueError, SyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MismatchError as exc:

@@ -17,13 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet
 from .qnum import QContext, qbracket, qint, qpow
 from .rep import (
     DeformX, OneDim, Projective, RangeError, Simple, Typical, make_deformable,
-    make_module, mat_limit,
+    make_module, mat_limit, projective_cover, summand_weights,
 )
-from .ribbon import RibbonConfig, modified_dim, scalar_of
+from .ribbon import NoClosedFormError, RibbonConfig, modified_dim, scalar_of
 from .tangle import (
     EndoDecomp, TangleExpr, decompose_endo, eval_tangle, hopf_tangle, nilpotent_endo,
 )
@@ -56,19 +55,13 @@ class LogInvariantResult:
 
 def _open_indices(ctx: QContext, label):
     """(i, l) of a projective-cover open color, with 0 <= i <= r - 2."""
-    if isinstance(label, Projective):
-        i, l = label.i, label.k
-    elif isinstance(label, DeformX) and not isinstance(label.eps, Jet) and label.eps == 0:
-        i, l = label.i, label.l
-    else:
+    cover = projective_cover(label)
+    if cover is None:
         raise TypeError(f"open color must be a projective cover, got {label!r}")
+    i, l = cover
     if not 0 <= i <= ctx.r - 2:
         raise RangeError(f"projective index must lie in 0..{ctx.r - 2}, got {i}")
     return i, l
-
-
-def _summand_weights(ctx: QContext, i: int, l: int):
-    return 1 + i - ctx.r + l * ctx.r, -1 - i + ctx.r + l * ctx.r
 
 
 def log_tangle_invariant(cfg: RibbonConfig, expr: TangleExpr) -> LogInvariantResult:
@@ -81,13 +74,13 @@ def log_tangle_invariant(cfg: RibbonConfig, expr: TangleExpr) -> LogInvariantRes
     """
     ctx = cfg.ctx
     i, l = _open_indices(ctx, expr.open_color)
-    lam_m, lam_p = _summand_weights(ctx, i, l)
     e = ctx.eps()
-    gm = _recolored_scalar(cfg, expr, lam_m + e)
-    gp = _recolored_scalar(cfg, expr, lam_p + e)
+    lam_m, lam_p = summand_weights(ctx, i, l, e)
+    gm = _recolored_scalar(cfg, expr, lam_m)
+    gp = _recolored_scalar(cfg, expr, lam_p)
 
-    dm = modified_dim(ctx, Typical(lam_m + e))
-    dp = modified_dim(ctx, Typical(lam_p + e))
+    dm = modified_dim(ctx, Typical(lam_m))
+    dp = modified_dim(ctx, Typical(lam_p))
     tm, tp = gm * dm, gp * dp
     # cancellation floors: a quantity whose value is genuinely zero leaves
     # only rounding noise behind, which must not masquerade as a pole.  Each
@@ -186,7 +179,7 @@ def log_hopf_closed(ctx: QContext, z_label, j: int, l: int):
         a = 0.0 + 0j
         b = 2 * r * s / qi(J1) ** 2 * (qpow(ctx, (i + 1) * J1) + qpow(ctx, -(i + 1) * J1))
         return a, b
-    raise TypeError(f"no closed Hopf form for closed color {z_label!r}")
+    raise NoClosedFormError(f"no closed Hopf form for closed color {z_label!r}")
 
 
 @dataclass

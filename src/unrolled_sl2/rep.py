@@ -32,6 +32,7 @@ __all__ = [
     "make_module", "make_deformable", "tensor", "dual", "direct_sum",
     "verify_relations", "hom_space", "deformable_change_of_basis",
     "intertwiner_residual", "module_dump", "format_label", "is_typical_weight",
+    "projective_cover", "summand_weights",
 ]
 
 
@@ -113,6 +114,23 @@ def is_typical_weight(ctx: QContext, alpha: complex) -> bool:
     if abs(a - n) > ctx.tol:
         return True
     return n % ctx.r == 0
+
+
+def projective_cover(label):
+    """(i, l) of a projective-cover label, Projective(i, l) or DeformX(i, l, 0)
+    at a numeric zero; None for any other label."""
+    if isinstance(label, Projective):
+        return label.i, label.k
+    if isinstance(label, DeformX) and not isinstance(label.eps, Jet) and label.eps == 0:
+        return label.i, label.l
+    return None
+
+
+def summand_weights(ctx: QContext, i: int, l: int, eps=0):
+    """Weights 1+i-r+lr+eps and -1-i+r+lr+eps of the deformable family's two
+    generic summands; eps may be a number or a jet."""
+    r = ctx.r
+    return 1 + i - r + l * r + eps, -1 - i + r + l * r + eps
 
 
 def format_label(label) -> str:
@@ -672,8 +690,7 @@ def deformable_change_of_basis(ctx: QContext, i: int, l: int, eps) -> LinearMap:
             prod *= qint(ctx, 1 + i + s) * qint(ctx, -s - eps)
         colR = Ro + t
         B[r + (r - 2 - i - t), colR] = -prod / (2 * b)
-    lm = 1 + i - r + l * r + eps
-    lp = -1 - i + r + l * r + eps
+    lm, lp = summand_weights(ctx, i, l, eps)
     source = direct_sum(make_module(ctx, Typical(lm)), make_module(ctx, Typical(lp)))
     target = make_deformable(ctx, i, l, eps)
     A = np.linalg.inv(B)

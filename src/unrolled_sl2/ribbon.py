@@ -44,11 +44,11 @@ from .jets import Jet
 from .qnum import QContext, qbracket, qint, qpow
 from .rep import (
     DeformX, LinearMap, OneDim, Projective, SelfExt, Simple, Sum, Typical, WeightModule,
-    _diag, _powers, mat_norm,
+    _diag, _powers, mat_norm, projective_cover, summand_weights,
 )
 
 __all__ = [
-    "CalibrationError", "NotProjectiveError", "NonScalarError",
+    "CalibrationError", "NotProjectiveError", "NonScalarError", "NoClosedFormError",
     "RibbonConfig", "Crossing", "calibrate", "get_config", "crossing", "braiding_matrix",
     "hopf_closed_form", "modified_dim", "modified_trace", "scalar_of",
 ]
@@ -64,6 +64,10 @@ class NotProjectiveError(TypeError):
 
 class NonScalarError(ValueError):
     """An endomorphism expected to be scalar on a simple block is not."""
+
+
+class NoClosedFormError(TypeError):
+    """No closed form is known for the requested closed color."""
 
 
 @dataclass
@@ -236,9 +240,7 @@ def modified_dim(ctx: QContext, label):
         return ((-1) ** (k * (ctx.r - 1) + i + 1)
                 * (qpow(ctx, i + 1) + qpow(ctx, -(i + 1))))
     if isinstance(label, DeformX):
-        i, l, eps = label.i, label.l, label.eps
-        lm = 1 + i - ctx.r + l * ctx.r + eps
-        lp = -1 - i + ctx.r + l * ctx.r + eps
+        lm, lp = summand_weights(ctx, label.i, label.l, label.eps)
         return _dim_typical(ctx, lm) + _dim_typical(ctx, lp)
     if isinstance(label, Sum):
         out = None
@@ -294,7 +296,7 @@ def modified_trace(m: WeightModule, f):
     for lab in labels:
         if isinstance(lab, Typical):
             continue
-        if isinstance(lab, Projective) or (isinstance(lab, DeformX) and lab.eps == 0):
+        if projective_cover(lab) is not None:
             hint = "use the deformation-limit pathway"
         elif isinstance(lab, (Simple, OneDim, SelfExt)):
             hint = "not projective"
@@ -314,20 +316,27 @@ def modified_trace(m: WeightModule, f):
 # calibration
 
 
+def _bracket_ratio(ctx: QContext, n: int, beta):
+    """{n beta}/{beta}, with its removable limit n (-1)^(m(n-1)) at beta = mr."""
+    m = round(complex(beta).real / ctx.r)
+    if abs(beta - m * ctx.r) < ctx.tol:
+        return n * (-1) ** (m * (n - 1)) + 0j
+    return qbracket(ctx, n * beta) / qbracket(ctx, beta)
+
+
 def hopf_closed_form(ctx: QContext, z_label, beta):
     """Closed-form scalar of the open Hopf link on a generic open color."""
-    br = lambda x: qbracket(ctx, x)
     if isinstance(z_label, Typical):
-        return br(ctx.r * beta) / br(beta) * qpow(ctx, z_label.alpha * beta)
+        return _bracket_ratio(ctx, ctx.r, beta) * qpow(ctx, z_label.alpha * beta)
     if isinstance(z_label, Simple):
-        return br((z_label.i + 1) * beta) / br(beta) * qpow(ctx, z_label.k * ctx.r * beta)
+        return _bracket_ratio(ctx, z_label.i + 1, beta) * qpow(ctx, z_label.k * ctx.r * beta)
     if isinstance(z_label, OneDim):
         return qpow(ctx, z_label.k * ctx.r * beta)
     if isinstance(z_label, Projective):
         i, k = z_label.i, z_label.k
-        return (br(ctx.r * beta) / br(beta) * qpow(ctx, k * ctx.r * beta)
+        return (_bracket_ratio(ctx, ctx.r, beta) * qpow(ctx, k * ctx.r * beta)
                 * (qpow(ctx, (ctx.r - 1 - i) * beta) + qpow(ctx, -(ctx.r - 1 - i) * beta)))
-    raise TypeError(f"no closed form for closed color {z_label!r}")
+    raise NoClosedFormError(f"no closed form for closed color {z_label!r}")
 
 
 # Anchor battery: (closed generic weight, open generic weight) pairs.

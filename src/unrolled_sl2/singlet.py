@@ -23,9 +23,9 @@ from math import sqrt
 import numpy as np
 
 from .qnum import QContext
-from .rep import OneDim, Projective, Simple, Sum, Typical, is_typical_weight, make_module
-from .ribbon import RibbonConfig, modified_trace
-from .tangle import eval_tangle, hopf_tangle
+from .rep import OneDim, Projective, Simple, Sum, Typical, is_typical_weight
+from .ribbon import RibbonConfig
+from .tangle import hopf_tangle, renormalized_invariant
 from .deform import log_tangle_invariant
 
 __all__ = [
@@ -385,10 +385,9 @@ def compare_hopf_qdim(cfg: RibbonConfig, x, color, eps: complex) -> CompareRepor
         if abs(complex(color.alpha) - alpha) > 1e-8 * max(1.0, abs(alpha)):
             raise RegimeError(
                 f"color weight {color.alpha} does not match -i sqrt(2r) eps = {alpha}")
-        open_mod = make_module(ctx, Typical(alpha))
-        num = modified_trace(open_mod, eval_tangle(cfg, hopf_tangle(Typical(alpha), x)))
-        unit = _memo(_UNIT_TRACE_CACHE, (ctx, alpha), lambda: modified_trace(
-            open_mod, eval_tangle(cfg, hopf_tangle(Typical(alpha), Simple(0, 0)))))
+        num = renormalized_invariant(cfg, hopf_tangle(Typical(alpha), x))
+        unit = _memo(_UNIT_TRACE_CACHE, (ctx, alpha), lambda: renormalized_invariant(
+            cfg, hopf_tangle(Typical(alpha), Simple(0, 0))))
         rhs = num / unit
     else:
         if not isinstance(color, Projective):

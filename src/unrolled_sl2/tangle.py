@@ -1,14 +1,19 @@
 """Colored (1,1)-tangles: grammar, typed slices, and the evaluation engine.
 
 A tangle is a single open strand plus elementary slices read bottom to top:
-braidings, twists, cups and caps.  Parsing enforces the strand-word
-discipline (labels and dual flags must compose and return to the single
-open color), presets expand to frozen slice words at parse time, and the
-evaluator contracts one slice gate at a time into a batched state vector,
-so tensor words never materialize full composite matrices.  The state
-starts as a plain identity and turns into a jet at the first jet gate; a
-crossing is applied to it as its factors (ribbon.crossing), never as a
-dense matrix.
+braidings, twists, cups and caps.  One walk of the strand word (_walk)
+types every tangle: it fills in default positions, checks that labels and
+dual flags compose and return to the single open color, and pairs each
+slice with the strands it acts on, each keyed by its color label or, for
+the open strand itself, by a sentinel.  Parsing returns the walk's normal
+form, with presets expanded to frozen slice words.  The evaluator walks
+once, looks each strand's module up in a dict that builds it (and a dual
+from it) on first use, and acts with a cup or cap through the module of
+its non-dual strand.  It contracts one slice gate at a time into a batched
+state vector, so tensor words never materialize full composite matrices.
+The state starts as a plain identity and turns into a jet at the first
+jet gate; a crossing is applied to it as its factors (ribbon.crossing),
+never as a dense matrix.
 
 Frozen preset normal forms (the cap color of bare coev slices is the open
 color; `insert` is the colored left coevaluation):
@@ -27,10 +32,9 @@ from math import prod
 import numpy as np
 
 from .jets import Jet, as_jet
-from .qnum import QContext
 from .rep import (
-    DeformX, LinearMap, OneDim, Projective, Simple, Typical,
-    WeightModule, dual, format_label, hom_space, make_module, mat_norm,
+    DeformX, LinearMap, OneDim, Projective, Simple, Typical, WeightModule, dual,
+    format_label, hom_space, make_module, mat_norm, projective_cover,
 )
 from .ribbon import (
     Crossing, RibbonConfig, coev_left, coev_right, crossing, ev_left, ev_right,
@@ -238,7 +242,7 @@ def parse_tangle(text: str) -> TangleExpr:
             cur.take("semi", what="';'")
             slices.append(_parse_slice(cur))
         expr = TangleExpr(open_color, tuple(slices))
-    return _typecheck(expr)
+    return _walk(expr)[0]
 
 
 def _parse_preset(cur: _Cursor, open_color) -> TangleExpr:
@@ -278,84 +282,72 @@ def _parse_slice(cur: _Cursor):
 
 
 # ---------------------------------------------------------------------------
-# strand-word typing
+# the strand word
 
 
-def _typecheck(expr: TangleExpr) -> TangleExpr:
-    """Simulate the strand word, filling default positions; returns the normal form."""
-    word = [(expr.open_color, False)]
-    out = []
+_OPEN = object()  # key of the open strand itself, never its color label
+
+
+def _walk(expr: TangleExpr):
+    """Simulate the strand word once; the normal form and each slice's strands.
+
+    The word is a list of strands (key, dual), key being a color label or,
+    for the open strand, the _OPEN sentinel, so recoloring the open strand
+    never leaks to closed components of its color.  Returns the normal form
+    (default positions filled in) and, per slice, the strands it acts on: a
+    crossing's two, a twist's one, the pair a cup creates or a cap joins.
+    Raises TypeMismatchError where the word does not compose or does not
+    close up to the open color.
+    """
+    color = lambda key: expr.open_color if key is _OPEN else key
+    word = [(_OPEN, False)]
+    out, acts = [], []
     for s in expr.slices:
         if isinstance(s, (Braid, TwistSlice)):
             need = s.pos + 1 if isinstance(s, Braid) else s.pos
             if s.pos < 1 or need > len(word):
-                raise TypeMismatchError(f"no strand {s.pos if need == s.pos else s.pos + 1} "
-                                        f"for slice '{_slice_str(s)}' (word length {len(word)})")
-            if isinstance(s, Braid):
-                word[s.pos - 1], word[s.pos] = word[s.pos], word[s.pos - 1]
-            out.append(s)
+                raise TypeMismatchError(f"no strand {need} for slice '{_slice_str(s)}' "
+                                        f"(word length {len(word)})")
+            strands = word[s.pos - 1:need]
+            word[s.pos - 1:need] = strands[::-1]
         elif isinstance(s, (Coev, Insert)):
             pos = s.pos if s.pos is not None else len(word) + 1
             if not 1 <= pos <= len(word) + 1:
                 raise TypeMismatchError(f"cannot insert at {pos} (word length {len(word)})")
-            if isinstance(s, Insert):
-                pair = [(s.color, False), (s.color, True)]
-                out.append(Insert(pos, s.color))
-            elif s.side == "L":
-                pair = [(expr.open_color, False), (expr.open_color, True)]
-                out.append(Coev(pos, "L"))
-            else:
-                pair = [(expr.open_color, True), (expr.open_color, False)]
-                out.append(Coev(pos, "R"))
-            word[pos - 1:pos - 1] = pair
+            c = s.color if isinstance(s, Insert) else expr.open_color
+            right = isinstance(s, Coev) and s.side != "L"  # coevR: dual strand first
+            strands = [(c, right), (c, not right)]
+            s = Insert(pos, c) if isinstance(s, Insert) else Coev(pos, s.side)
+            word[pos - 1:pos - 1] = strands
         elif isinstance(s, Ev):
             pos = s.pos if s.pos is not None else 1
             if not 1 <= pos <= len(word) - 1:
                 raise TypeMismatchError(f"no strand pair at {pos} for '{_slice_str(s)}'")
-            (la, da), (lb, db) = word[pos - 1], word[pos]
-            if la != lb:
+            strands = word[pos - 1:pos + 1]
+            (ka, da), (kb, db) = strands
+            if color(ka) != color(kb):
                 raise TypeMismatchError(f"cap at {pos} joins different colors "
-                                        f"{format_label(la)} and {format_label(lb)}")
+                                        f"{format_label(color(ka))} and {format_label(color(kb))}")
             want = (True, False) if s.side == "L" else (False, True)
             if (da, db) != want:
                 raise TypeMismatchError(f"cap ev{s.side} at {pos} needs dual pattern "
                                         f"{want}, got {(da, db)}")
             del word[pos - 1:pos + 1]
-            out.append(Ev(pos, s.side))
+            s = Ev(pos, s.side)
         else:
             raise TypeMismatchError(f"unknown slice {s!r}")
-    if word != [(expr.open_color, False)]:
+        out.append(s)
+        acts.append(strands)
+    final = [(color(k), d) for k, d in word]
+    if final != [(expr.open_color, False)]:
         raise TypeMismatchError(
             "tangle does not close up to the open color; final word "
-            + str([(format_label(l), d) for l, d in word]))
-    return TangleExpr(expr.open_color, tuple(out))
+            + str([(format_label(l), d) for l, d in final]))
+    return TangleExpr(expr.open_color, tuple(out)), acts
 
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-
-_OPEN = object()  # sentinel tracking the open strand itself, not its color label
-
-
-class _ModuleCache:
-    """Modules of one evaluation, built on first use.
-
-    Keyed by (color label or the open-strand sentinel, dual flag).  A label
-    holding a jet hashes by that jet's identity, and the key keeps the jet
-    alive for the evaluation.
-    """
-
-    def __init__(self, ctx: QContext, open_module: WeightModule):
-        self.ctx = ctx
-        self.store = {(_OPEN, False): open_module}
-
-    def get(self, label, is_dual: bool) -> WeightModule:
-        key = (label, is_dual)
-        if key not in self.store:
-            self.store[key] = (dual(self.get(label, False)) if is_dual
-                               else make_module(self.ctx, label))
-        return self.store[key]
 
 
 def _contract(state, dims, batch, pos, nin, gate, out_dims):
@@ -384,67 +376,48 @@ def eval_tangle(cfg: RibbonConfig, expr: TangleExpr,
     round-off scale against which scalar_of tests it.
     """
     ctx = cfg.ctx
-    expr = _typecheck(expr)
-    override = open_module is not None
+    expr, acts = _walk(expr)
+    recolored = open_module is not None
     if open_module is None:
         open_module = make_module(ctx, expr.open_color)
-    mods = _ModuleCache(ctx, open_module)
-    # the open strand is tracked as a strand (sentinel), never by its color
-    # label; recoloring it must not leak to closed components of equal color
-    word = [(_OPEN, False)]
+    mods = {(_OPEN, False): open_module}
 
-    jetness = open_module.is_jet or any(
-        isinstance(s, Insert) and isinstance(s.color, DeformX) and isinstance(s.color.eps, Jet)
-        for s in expr.slices)
+    def module(key, is_dual: bool) -> WeightModule:
+        """The module of a strand, built on first use; a dual from its plain module."""
+        if (key, is_dual) not in mods:
+            if (key, False) not in mods:
+                mods[key, False] = make_module(ctx, key)
+            if is_dual:
+                mods[key, True] = dual(mods[key, False])
+        return mods[key, is_dual]
+
     dW = open_module.dim
     state = np.eye(dW, dtype=complex)  # batched over basis columns; a jet from the first jet gate
     dims = [dW]
     scale = 1.0  # largest |state| entry, the round-off scale of the contraction
 
-    for s in expr.slices:
+    for s, strands in zip(expr.slices, acts):
         if isinstance(s, Braid):
-            la, da = word[s.pos - 1]
-            lb, db = word[s.pos]
-            A = mods.get(la, da)
-            B = mods.get(lb, db)
-            gate = crossing(cfg, A, B, s.sign)
-            state, dims = _contract(state, dims, dW, s.pos, 2, gate, (B.dim, A.dim))
-            word[s.pos - 1], word[s.pos] = word[s.pos], word[s.pos - 1]
+            A, B = module(*strands[0]), module(*strands[1])
+            gate, nin, out = crossing(cfg, A, B, s.sign), 2, (B.dim, A.dim)
         elif isinstance(s, TwistSlice):
-            la, da = word[s.pos - 1]
-            A = mods.get(la, da)
-            gate = twist_matrix(cfg, A, s.sign)
-            state, dims = _contract(state, dims, dW, s.pos, 1, gate, (A.dim,))
-        elif isinstance(s, (Coev, Insert)):
-            if isinstance(s, Insert):
-                A = mods.get(s.color, False)
-                gate = coev_left(cfg, A)
-                pair = [(s.color, False), (s.color, True)]
-            elif s.side == "L":
-                A = mods.get(expr.open_color, False)
-                gate = coev_left(cfg, A)
-                pair = [(expr.open_color, False), (expr.open_color, True)]
+            A = module(*strands[0])
+            gate, nin, out = twist_matrix(cfg, A, s.sign), 1, (A.dim,)
+        else:  # a cup or a cap, through the module of its non-dual strand
+            key = strands[1][0] if strands[0][1] else strands[0][0]
+            if key is _OPEN and recolored:
+                raise TypeMismatchError("cannot cap the open strand while it is recolored")
+            A = module(key, False)
+            if isinstance(s, Ev):
+                gate, nin, out = (ev_left if s.side == "L" else ev_right)(cfg, A), 2, ()
             else:
-                A = mods.get(expr.open_color, False)
-                gate = coev_right(cfg, A)
-                pair = [(expr.open_color, True), (expr.open_color, False)]
-            state, dims = _contract(state, dims, dW, s.pos, 0, gate, (A.dim, A.dim))
-            word[s.pos - 1:s.pos - 1] = pair
-        elif isinstance(s, Ev):
-            (la, da), (lb, db) = word[s.pos - 1], word[s.pos]
-            if _OPEN in (la, lb):
-                if override:
-                    raise TypeMismatchError(
-                        "cannot cap the open strand while it is recolored")
-                la = lb = expr.open_color
-            A = mods.get(la, False)
-            gate = ev_left(cfg, A) if s.side == "L" else ev_right(cfg, A)
-            state, dims = _contract(state, dims, dW, s.pos, 2, gate, ())
-            del word[s.pos - 1:s.pos + 1]
+                right = isinstance(s, Coev) and s.side != "L"
+                gate, nin, out = (coev_right if right else coev_left)(cfg, A), 0, (A.dim, A.dim)
+        state, dims = _contract(state, dims, dW, s.pos, nin, gate, out)
         scale = max(scale, mat_norm(state))
 
     mat = state.reshape(dW, dW)
-    if jetness and not isinstance(mat, Jet):  # no jet gate was applied
+    if open_module.is_jet and not isinstance(mat, Jet):  # no jet gate was applied
         mat = as_jet(mat, ctx.jet_order)
     return LinearMap(open_module, open_module, mat, scale)
 
@@ -468,18 +441,14 @@ class EndoDecomp:
 
 def nilpotent_endo(p: WeightModule) -> np.ndarray:
     """The square-zero endomorphism sending the top head vector to the top socle-shift."""
-    lab = p.label
-    if isinstance(lab, Projective):
-        i = lab.i
-    elif isinstance(lab, DeformX) and not isinstance(lab.eps, Jet) and lab.eps == 0:
-        i = lab.i
-    else:
-        raise BasisError(f"not a projective-cover module: {format_label(lab)}")
+    cover = projective_cover(p.label)
+    if cover is None:
+        raise BasisError(f"not a projective-cover module: {format_label(p.label)}")
     endo = hom_space(p, p)
     if len(endo) != 2:
         raise BasisError(f"endomorphism space has dimension {len(endo)}, expected 2")
     r = p.ctx.r
-    hi, si = r - 1, r + i  # indices of the top head and top socle-shift vectors
+    hi, si = r - 1, r + cover[0]  # indices of the top head and top socle-shift vectors
     rows = np.array([[m.matrix[hi, hi], m.matrix[si, hi]] for m in endo]).T
     coeffs = np.linalg.solve(rows, np.array([0.0, 1.0]))
     x = coeffs[0] * endo[0].matrix + coeffs[1] * endo[1].matrix
@@ -501,14 +470,12 @@ def decompose_endo(f, p: WeightModule) -> EndoDecomp:
         res = max(res, float(r_))
     if res > p.ctx.tol * 100:
         raise NotEndomorphismError(f"map does not commute with the action (residual {res:.2e})")
-    lab = p.label
-    i = lab.i if isinstance(lab, (Projective,)) else (
-        lab.i if isinstance(lab, DeformX) else None)
-    if i is None:
-        raise BasisError(f"not a projective cover: {format_label(lab)}")
+    cover = projective_cover(p.label)
+    if cover is None:
+        raise BasisError(f"not a projective cover: {format_label(p.label)}")
     x = nilpotent_endo(p)
     r = p.ctx.r
-    hi, si = r - 1, r + i
+    hi, si = r - 1, r + cover[0]
     a = complex(mat[hi, hi])
     b = complex(mat[si, hi])
     recon = a * np.eye(p.dim) + b * x
@@ -551,4 +518,4 @@ def random_braid_tangle(rng, open_color, closed_color, max_crossings: int = 6,
     if with_twist and rng.random() < 0.5:
         slices.append(TwistSlice(1, int(rng.choice([-1, 1]))))
     slices.append(Ev(2, "R"))
-    return _typecheck(TangleExpr(open_color, tuple(slices)))
+    return _walk(TangleExpr(open_color, tuple(slices)))[0]

@@ -140,3 +140,31 @@ def test_projective_index_out_of_range_is_usage_error(capsys, expr):
     code, out, err = run(capsys, "tangle", "--r", "3", "--expr", expr)
     assert code == 2
     assert err == "error: projective index must lie in 0..1, got 5\n"
+
+
+@pytest.mark.parametrize("r, closed, beta, want", [
+    (3, "S(1,0)", "0", [2.0, 0.0]),
+    (3, "S(1,0)", "3", [-2.0, 0.0]),
+    (2, "S(0,0)", "2", [1.0, 0.0]),
+    (4, "V(0.3)", "4", None),
+    (3, "P(0,1)", "-3", None),
+])
+def test_hopf_at_beta_in_rz_takes_the_removable_limit(capsys, r, closed, beta, want):
+    """{n beta}/{beta} is 0/0 at beta in rZ; the closed form takes its limit."""
+    code, out, err = run(capsys, "hopf", "--r", str(r), "--closed", closed, "--beta", beta)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["ok"] is True
+    if want is not None:
+        assert doc["closed_form"] == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["hopf", "--closed", "X(0,0,0.1)", "--beta", "0.3"],
+    ["loghopf", "--Z", "X(0,0,0.1)", "--j", "0"],
+])
+def test_closed_color_without_closed_form_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv[0], "--r", "3", *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: no closed") and err.count("\n") == 1

@@ -15,7 +15,9 @@ from unrolled_sl2.ribbon import (
     get_config, hopf_closed_form, modified_dim, modified_trace, scalar_of,
     twist_matrix,
 )
-from unrolled_sl2.tangle import Braid, Ev, Insert, TangleExpr, eval_tangle, hopf_tangle
+from unrolled_sl2.tangle import (
+    Braid, Coev, Ev, Insert, TangleExpr, TwistSlice, eval_tangle, hopf_tangle,
+)
 
 RS = [2, 3, 4, 5]
 
@@ -356,35 +358,69 @@ def test_twist_matches_the_textbook_partial_trace(r, colour, dualised, sign):
     ctx = QContext(r)
     m = make_module(ctx, _TWIST_COLOURS[colour](r))
     m = dual(m) if dualised else m
-    d = m.dim
-    c = _textbook_crossing(r, m, m)
-    c = c if sign == 1 else np.linalg.inv(c)
-    pivot = np.diag(np.exp(1j * np.pi / r * (1 - r) * m.weights))
-    want = np.einsum("abvj,jb->av", c.reshape(d, d, d, d), pivot)
+    want = _textbook_twist(r, m, sign)
     got = twist_matrix(get_config(ctx), m, sign)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def _textbook_twist(r, m, sign):
+    """Twist (sign = -1: inverse twist) as the right partial trace of the dense
+    textbook self-crossing (its numerical inverse) against the pivot K^(1-r)."""
+    d = m.dim
+    c = _textbook_crossing(r, m, m)
+    c = c if sign == 1 else np.linalg.inv(c)
+    pivot = np.diag(np.exp(1j * np.pi / r * (1 - r) * m.weights))
+    return np.einsum("abvj,jb->av", c.reshape(d, d, d, d), pivot)
+
+
+def _dense_composite(cfg, v, slices):
+    """A slice word on the open module v as one dense matrix: textbook
+    crossings and twists and the library's dualities, each padded with
+    identities.  A cup or cap acts through the module of its non-dual strand."""
+    r = cfg.ctx.r
+    word, total = [v], np.eye(v.dim)
+    eye = lambda mods: np.eye(int(np.prod([x.dim for x in mods])))
+    for s in slices:
+        p = s.pos - 1
+        n = {Braid: 2, TwistSlice: 1, Ev: 2}.get(type(s), 0)
+        if isinstance(s, Braid):
+            a, b = word[p:p + 2]
+            c = _textbook_crossing(r, a, b) if s.sign == 1 else np.linalg.inv(
+                _textbook_crossing(r, b, a))
+            new = [b, a]
+        elif isinstance(s, TwistSlice):
+            c, new = _textbook_twist(r, word[p], s.sign), [word[p]]
+        elif isinstance(s, Ev):
+            c = ev_left(cfg, word[p + 1]) if s.side == "L" else ev_right(cfg, word[p])
+            new = []
+        elif isinstance(s, Insert) or s.side == "L":
+            z = make_module(cfg.ctx, s.color) if isinstance(s, Insert) else v
+            c, new = coev_left(cfg, z), [z, dual(z)]
+        else:
+            c, new = coev_right(cfg, v), [dual(v), v]
+        total = np.kron(np.kron(eye(word[:p]), c), eye(word[p + n:])) @ total
+        word[p:p + n] = new
+    assert [m.dim for m in word] == [v.dim]
+    return total
+
+
 @pytest.mark.parametrize("r", RS + [6])
 def test_tangle_crossings_match_a_dense_composite(r):
-    """eval_tangle on a 3-strand braid word, against the product of dense
-    textbook crossings and dualities padded with identities."""
+    """eval_tangle on two 3-strand words, against the product of dense
+    textbook crossings, twists and dualities padded with identities.  The
+    second word opens with coevR, twists a strand and its dual, and caps the
+    open strand with evL."""
     ctx = QContext(r)
     cfg = get_config(ctx)
     z_label = Projective(r - 2, 1) if r % 2 else Simple(r - 2, -1)
-    v, z = make_module(ctx, Typical(0.43 + 0.12j)), make_module(ctx, z_label)
-    word = [v, z, dual(z)]
-    slices = [Braid(1, 1), Braid(2, -1), Braid(2, -1), Braid(1, 1), Braid(2, 1), Braid(2, 1)]
-    eye = lambda mods: np.eye(int(np.prod([x.dim for x in mods])))
-    total = np.kron(eye(word[:1]), coev_left(cfg, z))
-    for s in slices:
-        a, b = word[s.pos - 1], word[s.pos]
-        c = _textbook_crossing(r, a, b) if s.sign == 1 else np.linalg.inv(
-            _textbook_crossing(r, b, a))
-        total = np.kron(np.kron(eye(word[:s.pos - 1]), c), eye(word[s.pos + 1:])) @ total
-        word[s.pos - 1], word[s.pos] = b, a
-    assert word[1] is z
-    total = np.kron(eye(word[:1]), ev_right(cfg, z)) @ total
-    expr = TangleExpr(Typical(0.43 + 0.12j), (Insert(2, z_label), *slices, Ev(2, "R")))
-    got = eval_tangle(cfg, expr).matrix
-    assert np.max(np.abs(got - total)) <= 1e-12 * np.max(np.abs(total))
+    v = make_module(ctx, Typical(0.43 + 0.12j))
+    words = [
+        (Insert(2, z_label), Braid(1, 1), Braid(2, -1), Braid(2, -1), Braid(1, 1),
+         Braid(2, 1), Braid(2, 1), Ev(2, "R")),
+        (Coev(2, "R"), Braid(1, 1), Braid(2, -1), TwistSlice(2, -1), Braid(2, 1),
+         TwistSlice(1, 1), Ev(1, "L")),
+    ]
+    for slices in words:
+        total = _dense_composite(cfg, v, slices)
+        got = eval_tangle(cfg, TangleExpr(Typical(0.43 + 0.12j), slices)).matrix
+        assert np.max(np.abs(got - total)) <= 1e-12 * np.max(np.abs(total)), slices

@@ -196,3 +196,42 @@ def test_hopf_on_projective_open_color_has_zero_head_scalar():
             lm = eval_tangle(cfg, t)
             d = decompose_endo(lm.matrix, p)
             assert abs(d.a) < 1e-9
+
+
+# Knot oracles on generic colours: closed forms at r = 2 and the Markov move.
+# Each knot is cut open at a strand of the generic colour V(alpha); the open
+# strand itself is capped, so these words exercise the open-strand cap.
+
+_TREFOIL = "coevL; br+ 1; br+ 1; br+ 1; evR 2"  # closure of s1^3, writhe 3
+_TREFOIL_3 = "coevL 2; coevL 3; br+ 1; br+ 2; br+ 1; br+ 2; evR 3; evR 2"  # (s1 s2)^2, writhe 4
+_FIGURE_EIGHT = "coevL 2; coevL 3; br+ 2; br- 1; br+ 2; br- 1; evR 3; evR 2"  # writhe 0
+
+
+def _knot_scalar(cfg, alpha, word):
+    lm = eval_tangle(cfg, parse_tangle(f"open V({alpha}) | {word}"))
+    return scalar_of(lm.matrix, lm.source.dim, cfg.ctx.tol, lm.scale)
+
+
+@pytest.mark.parametrize("alpha", [0.37, -1.21])
+def test_knots_at_r2_give_the_alexander_polynomial(alpha):
+    """At r = 2 the framing-corrected scalar of a knot on V(alpha) is its
+    Alexander polynomial at t = q^(2(alpha + r - 1)): t - 1 + 1/t for the
+    trefoil and -t + 3 - 1/t for the figure-eight.  theta is the twist scalar."""
+    cfg = get_config(QContext(2))
+    theta = _knot_scalar(cfg, alpha, "tw+ 1")
+    t = np.exp(1j * np.pi / 2 * 2 * (alpha + 1))
+    for word, writhe, delta in [(_TREFOIL, 3, t - 1 + 1 / t), (_TREFOIL_3, 4, t - 1 + 1 / t),
+                                (_FIGURE_EIGHT, 0, -t + 3 - 1 / t)]:
+        got = _knot_scalar(cfg, alpha, word) / theta ** writhe
+        assert abs(got - delta) <= 1e-11 * abs(delta), word
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_trefoil_is_invariant_under_the_markov_move(r):
+    """The trefoil as the closure of s1^3 and of (s1 s2)^2 agrees once each
+    is divided by theta to its writhe."""
+    cfg = get_config(QContext(r))
+    theta = _knot_scalar(cfg, 0.37, "tw+ 1")
+    two = _knot_scalar(cfg, 0.37, _TREFOIL) / theta ** 3
+    three = _knot_scalar(cfg, 0.37, _TREFOIL_3) / theta ** 4
+    assert abs(two - three) <= 1e-13 * abs(two)
