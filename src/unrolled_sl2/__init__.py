@@ -8,8 +8,8 @@ from .rep import (
     DeformX, Dual, LinearMap, ModuleLabel, OneDim, Projective, RangeError,
     SelfExt, Simple, SingularError, Sum, Tensor, Typical, WeightModule,
     deformable_change_of_basis, direct_sum, dual, format_label, hom_space,
-    intertwiner_residual, make_deformable, make_module, module_dump, tensor,
-    verify_relations,
+    intertwiner_residual, make_deformable, make_module, module_dump, parse_complex,
+    tensor, verify_relations,
 )
 from .ribbon import (
     CalibrationError, NoClosedFormError, NonScalarError, NotProjectiveError, RibbonConfig,
@@ -31,7 +31,7 @@ from .singlet import (
     Atyp, BoundaryError, CompareReport, DomainError, Fock, FusionVector,
     RegimeError, Regularization, VACUUM, VerlindeReport, alpha_minus,
     alpha_plus, alpha_ts, alpha_zero, b_threshold, compare_hopf_qdim, fuse,
-    parse_complex, parse_singlet_label, phi_dictionary,
+    parse_singlet_label, phi_dictionary,
     phi_inverse, qdim_reg, regime_of, strip_eps, verlinde_hom_check,
 )
 

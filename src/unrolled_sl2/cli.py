@@ -2,9 +2,9 @@
 
 Subcommands: repcheck, hopf, loghopf, tangle, qdim, fusion, compare, sweep,
 calibrate.  Exit codes: 0 on success, 1 when a computed value misses its
-reference, 2 on usage errors.  All numeric output is rounded to 12
-significant digits before serialization, so identical invocations are
-byte-identical.
+reference or two routes to it disagree, 2 on usage errors.  All numeric
+output is rounded to 12 significant digits before serialization, so
+identical invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .qnum import QContext
 from .rep import (
     DeformX, OneDim, Projective, SelfExt, Simple, Typical, format_label,
-    make_module, module_dump, projective_cover, verify_relations,
+    make_module, module_dump, parse_complex, projective_cover, verify_relations,
 )
 from .ribbon import (
     NoClosedFormError, NotProjectiveError, calibrate, get_config, hopf_closed_form,
@@ -26,10 +26,10 @@ from .ribbon import (
 )
 from .singlet import (
     BoundaryError, DomainError, RegimeError, compare_hopf_qdim, fuse,
-    parse_complex, parse_singlet_label, qdim_reg, regime_of, format_singlet_label,
+    parse_singlet_label, qdim_reg, regime_of, format_singlet_label,
 )
 from .tangle import eval_tangle, hopf_tangle, parse_color, parse_tangle
-from .deform import MismatchError, log_hopf_closed, log_tangle_invariant
+from .deform import CrossCheckError, MismatchError, log_hopf_closed, log_tangle_invariant
 
 SCHEMA = "unrolled-sl2/1"
 
@@ -102,7 +102,9 @@ def cmd_hopf(args) -> int:
     ctx = _ctx(args)
     cfg = get_config(ctx)
     closed = parse_color(args.closed)
-    if args.alpha is not None and isinstance(closed, Typical):
+    if args.alpha is not None:
+        if not isinstance(closed, Typical):
+            raise ValueError(f"--alpha overrides a V(...) closed color, not {args.closed}")
         closed = Typical(parse_complex(args.alpha))
     beta = parse_complex(args.beta)
     want = hopf_closed_form(ctx, closed, beta)
@@ -329,7 +331,7 @@ def main(argv=None) -> int:
             ValueError, SyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MismatchError as exc:
+    except (MismatchError, CrossCheckError) as exc:
         print(f"mismatch: {exc}", file=sys.stderr)
         return 1
 

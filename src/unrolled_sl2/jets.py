@@ -24,16 +24,15 @@ across orders; in @, a matrix stack is padded to the other operand's rank,
 so a gate jet broadcasts over the batch axes of a state.  + and - add a
 plain operand into the eps^0 slice without promoting it.
 
-Zero detection follows three rules.  Addition trims a leading slice only
-when it cancelled against its own operands (|a_k + b_k| <= ztol (|a_k| +
-|b_k|) entrywise), so a genuinely small coefficient is kept however large
-the higher orders are.  reciprocal() and inv() trim only exactly-zero
-leading slices, because addition already trimmed what cancelled.
-normalized(), and through it limit() and derivative(), trims below ztol
-times the largest coefficient of the slices up to the one read (eps^0 for
-limit, eps^n for derivative(n), the whole jet when no upto is given) plus
-the caller's absolute floor atol; callers that know the scale of what
-cancelled pass it as atol there, scaled over the same slices.
+Zero detection follows two rules.  Arithmetic trims a leading slice only
+where it cancelled in addition (|a_k + b_k| <= ztol (|a_k| + |b_k|)
+entrywise) or where it is exactly zero (reciprocal, inv, exp, sin), so a
+genuinely small coefficient is kept however large the higher orders are.
+Where a limit is read, normalized(), and through it limit() and
+derivative(), trims below ztol times the largest coefficient of the slices
+up to the one read (eps^0 for limit, eps^n for derivative(n), the whole jet
+when no upto is given) plus the caller's absolute floor atol; callers that
+know the scale of what cancelled pass it as atol there.
 
 The analytic functions exp() and sin() act entrywise on jets of any shape.
 """
@@ -230,10 +229,6 @@ class Jet:
         """Kronecker product self x other of matrix jets or plain matrices."""
         return self._convolve(other, _batched_kron)
 
-    def rkron(self, other) -> "Jet":
-        """Kronecker product other x self, for a plain matrix other."""
-        return self._convolve(other, lambda s, o: _batched_kron(o, s))
-
     def combine(self, other, prod) -> "Jet":
         """Convolve under an arbitrary bilinear slice product prod(stack, slice)."""
         return self._convolve(other, prod)
@@ -261,16 +256,13 @@ class Jet:
     def __pow__(self, n):
         if not isinstance(n, (int, np.integer)):
             raise TypeError("jet powers must be integers")
+        if self.shape != ():
+            raise ValueError("jet powers are for scalar jets")
         if n < 0:
             return self.reciprocal() ** (-n)
-        if self.shape == ():
-            out = as_jet(1.0, self.order)
-        else:
-            out = Jet.eye(self.shape[0], self.order)
-            if self.shape[0] != self.shape[-1] or len(self.shape) != 2:
-                raise ValueError("matrix powers need square jet matrices")
+        out = as_jet(1.0, self.order)
         for _ in range(int(n)):
-            out = out @ self if out.shape else out * self
+            out = out * self
         return out
 
     # -- analytic functions, entrywise -------------------------------------
@@ -279,11 +271,11 @@ class Jet:
         """Apply an entire function entrywise via its Taylor expansion about c0.
 
         taylor(z0, k) must return f^(k)(z0) / k! for an array z0.  Requires
-        valuation >= 0 after normalization (an essential singularity
-        otherwise).  The final trim, scaled by slices 0..1, drops the
-        round-off of sin at integer multiples of pi.
+        valuation >= 0 (an essential singularity otherwise).  Only exactly-zero
+        leading slices are trimmed, of the input and of the result, so a small
+        genuine leading coefficient is kept on both.
         """
-        j = self if self.val >= 0 else self.normalized()
+        j = self if self.val >= 0 else self.normalized(0.0)
         if j.val < 0:
             raise PoleError("analytic function of a jet with a pole")
         n = j.val + j.order
@@ -303,7 +295,7 @@ class Jet:
                 new[i:] += hk[:n - i] * c[i]
             hk = new
             out += taylor(z0, k) * hk
-        return Jet(out, 0).normalized(upto=1)
+        return Jet(out, 0).normalized(0.0)
 
     def exp(self) -> "Jet":
         return self._entire(lambda z0, k: np.exp(z0) / math.factorial(k))
@@ -313,12 +305,6 @@ class Jet:
         return self._entire(lambda z0, k: cyc[k % 4](z0) / math.factorial(k))
 
     # -- matrix helpers ------------------------------------------------------
-
-    @staticmethod
-    def eye(n: int, order: int) -> "Jet":
-        c = np.zeros((order, n, n), dtype=complex)
-        c[0] = np.eye(n)
-        return Jet(c, 0)
 
     @property
     def T(self) -> "Jet":

@@ -32,7 +32,7 @@ __all__ = [
     "make_module", "make_deformable", "tensor", "dual", "direct_sum",
     "verify_relations", "hom_space", "deformable_change_of_basis",
     "intertwiner_residual", "module_dump", "format_label", "is_typical_weight",
-    "projective_cover", "summand_weights",
+    "projective_cover", "summand_weights", "parse_complex",
 ]
 
 
@@ -163,6 +163,16 @@ def _fmt_num(z) -> str:
     return f"{z.real:g}{z.imag:+g}i"
 
 
+def parse_complex(text: str) -> complex:
+    """Parse 'a', 'bi' or 'a+bi' literals, as _fmt_num prints them; spaces are
+    ignored and I or j also name the unit.  Any other character (as in nan,
+    inf or 1_0) is refused with ValueError."""
+    t = "".join(text.split()).replace("I", "j").replace("i", "j")
+    if set(t) - set("0123456789.eE+-j"):
+        raise ValueError(f"bad complex literal {text!r}")
+    return complex(t)
+
+
 # ---------------------------------------------------------------------------
 # module container
 
@@ -209,24 +219,14 @@ class LinearMap:
 
 def _assemble(dim: int, entries):
     """Dense matrix from (row, col, value) triples; jet-valued if any value is."""
-    jvals = [v for _, _, v in entries if isinstance(v, Jet)]
-    if not jvals:
-        m = np.zeros((dim, dim), dtype=complex)
-        for a, b, v in entries:
-            m[a, b] += complex(v)
-        return m
-    val = min(0, min(j.val for j in jvals))
-    prec = min(j.val + j.order for j in jvals)
-    n = prec - val
-    c = np.zeros((n, dim, dim), dtype=complex)
-    for a, b, v in entries:
-        if isinstance(v, Jet):
-            k0 = v.val - val
-            cut = min(v.order, n - k0)
-            c[k0:k0 + cut, a, b] += v.c[:cut]
-        else:
-            c[-val, a, b] += complex(v)
-    return Jet(c, val)
+    if not entries:
+        return np.zeros((dim, dim), dtype=complex)
+    rows, cols, vals = zip(*entries)
+    v = _stack(vals)
+    c = v.c if isinstance(v, Jet) else v[None]
+    out = np.zeros((len(c), dim, dim), dtype=complex)
+    np.add.at(out, (slice(None), rows, cols), c)
+    return Jet(out, v.val) if isinstance(v, Jet) else out[0]
 
 
 def _diag(v, k: int = 0):
@@ -241,14 +241,15 @@ def _diag(v, k: int = 0):
 
 
 def _stack(mats):
-    """Float or jet matrices stacked on a new leading axis; jet-valued if any is.
+    """Float or jet matrices (or scalars) stacked on a new leading axis;
+    jet-valued if any is.
 
     A float matrix is exact; the jets are aligned to the lowest valuation
     (at most 0) and truncated to their shared precision.
     """
     jets = [a for a in mats if isinstance(a, Jet)]
     if not jets:
-        return np.stack(mats)
+        return np.array(mats, dtype=complex)
     val = min(0, *(j.val for j in jets))
     n = min(j.val + j.order for j in jets) - val
     c = np.zeros((n, len(mats), *jets[0].shape), dtype=complex)
@@ -272,15 +273,6 @@ def mat_norm(m) -> float:
     if isinstance(m, Jet):
         return m.norm()
     return float(np.max(np.abs(m))) if np.asarray(m).size else 0.0
-
-
-def _kron(a, b):
-    """Kronecker product of float or jet matrices; a float factor is never promoted."""
-    if isinstance(a, Jet):
-        return a.kron(b)
-    if isinstance(b, Jet):
-        return b.rkron(a)
-    return np.kron(a, b)
 
 
 def mat_limit(m):
@@ -390,12 +382,6 @@ def _make_selfext(ctx: QContext, lam) -> WeightModule:
     return m
 
 
-def deform_block_sizes(ctx: QContext, i: int):
-    """(left, head, socle-shift, right) basis-block sizes of the deformable module."""
-    r = ctx.r
-    return (r - i - 1, i + 1, i + 1, r - i - 1)
-
-
 def make_deformable(ctx: QContext, i: int, l: int, eps) -> WeightModule:
     """The 2r-dimensional one-parameter family through the projective cover.
 
@@ -468,21 +454,22 @@ def make_deformable(ctx: QContext, i: int, l: int, eps) -> WeightModule:
 
 
 def tensor(m: WeightModule, n: WeightModule) -> WeightModule:
-    """Tensor product module under the coproduct of the ribbon convention.
+    """Tensor product of numeric modules under the coproduct of the ribbon convention.
 
     E -> 1 x E + E x K and F -> K^-1 x F + F x 1; ribbon.calibrate checks
     this convention against the Hopf anchors.
     """
+    if m.is_jet or n.is_jet:
+        raise TypeError("tensor expects numeric modules")
     if m.ctx.r != n.ctx.r:
         raise ValueError("tensor factors must share a context")
     dim = m.dim * n.dim
-    Im = np.eye(m.dim, dtype=complex)  # _kron takes float and jet factors
-    In = np.eye(n.dim, dtype=complex)
-    E = _kron(Im, n.E) + _kron(m.E, n.K)
-    F = _kron(m.Kinv, n.F) + _kron(m.F, In)
-    K = _kron(m.K, n.K)
-    Kinv = _kron(m.Kinv, n.Kinv)
-    H = _kron(m.H, In) + _kron(Im, n.H)
+    Im, In = np.eye(m.dim), np.eye(n.dim)
+    E = np.kron(Im, n.E) + np.kron(m.E, n.K)
+    F = np.kron(m.Kinv, n.F) + np.kron(m.F, In)
+    K = np.kron(m.K, n.K)
+    Kinv = np.kron(m.Kinv, n.Kinv)
+    H = np.kron(m.H, In) + np.kron(Im, n.H)
     weights = (m.weights[:, None] + n.weights[None, :]).reshape(-1)
     return WeightModule(m.ctx, Tensor(m.label, n.label), dim, E, F, K, Kinv, H, weights)
 

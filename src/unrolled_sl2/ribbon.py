@@ -265,6 +265,11 @@ def _dim_typical(ctx: QContext, alpha):
             m = n // ctx.r
             # removable 0/0 at weights in r*Z: limit of {a}/{ra}
             return pref * (-1) ** (m * (1 + ctx.r)) / ctx.r
+    elif alpha.shape == () and alpha.val == 0:
+        n = round(alpha.c[0].real)
+        if abs(alpha.c[0] - n) < ctx.tol:
+            # {r(n + d)} = (-1)^n {r d}: exact at an integer n, where sin(pi n) has round-off
+            return pref * (-1) ** n * qbracket(ctx, alpha) / qbracket(ctx, ctx.r * (alpha - n))
     return pref * qbracket(ctx, alpha) / qbracket(ctx, ctx.r * alpha)
 
 

@@ -23,7 +23,7 @@ from math import sqrt
 import numpy as np
 
 from .qnum import QContext
-from .rep import OneDim, Projective, Simple, Sum, Typical, is_typical_weight
+from .rep import OneDim, Projective, Simple, Sum, Typical, is_typical_weight, parse_complex
 from .ribbon import RibbonConfig
 from .tangle import hopf_tangle, renormalized_invariant
 from .deform import log_tangle_invariant
@@ -114,15 +114,6 @@ def parse_singlet_label(text: str):
     if m:
         return Fock(parse_complex(m.group(1)))
     raise DomainError(f"bad singlet label {text!r}")
-
-
-def parse_complex(text: str) -> complex:
-    """Parse 'a', 'bi' or 'a+bi' literals; spaces are ignored and I or j also
-    name the unit.  Any other character (as in nan, inf or 1_0) is refused."""
-    t = "".join(text.split()).replace("I", "j").replace("i", "j")
-    if set(t) - set("0123456789.eE+-j"):
-        raise ValueError(f"bad complex literal {text!r}")
-    return complex(t)
 
 
 # ---------------------------------------------------------------------------

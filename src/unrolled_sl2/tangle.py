@@ -34,7 +34,7 @@ import numpy as np
 from .jets import Jet, as_jet
 from .rep import (
     DeformX, LinearMap, OneDim, Projective, Simple, Typical, WeightModule, dual,
-    format_label, hom_space, make_module, mat_norm, projective_cover,
+    format_label, hom_space, make_module, mat_norm, parse_complex, projective_cover,
 )
 from .ribbon import (
     Crossing, RibbonConfig, coev_left, coev_right, crossing, ev_left, ev_right,
@@ -161,33 +161,37 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _COLOR_RES = {
-    "V": re.compile(rf"V\(\s*({_NUM})\s*\)$"),
+    "V": re.compile(r"V\(([^)]*)\)$"),
     "S": re.compile(r"S\(\s*([+-]?\d+)\s*,\s*([+-]?\d+)\s*\)$"),
     "P": re.compile(r"P\(\s*([+-]?\d+)\s*,\s*([+-]?\d+)\s*\)$"),
     "C": re.compile(r"C\(\s*([+-]?\d+)\s*\)$"),
-    "X": re.compile(rf"X\(\s*([+-]?\d+)\s*,\s*([+-]?\d+)\s*,\s*({_NUM})\s*\)$"),
+    "X": re.compile(r"X\(\s*([+-]?\d+)\s*,\s*([+-]?\d+)\s*,([^)]*)\)$"),
 }
 
 
 def parse_color(text: str, offset: int = 0):
-    """Parse one color token into a module label."""
+    """Parse one color token into a module label; numbers as rep.parse_complex
+    reads them, so format_label's output parses back."""
     text = text.strip()
     kind = text[:1]
     rx = _COLOR_RES.get(kind)
     m = rx.match(text) if rx else None
+    try:
+        z = parse_complex(m.group(m.lastindex)) if m and kind in "VX" else None
+    except ValueError:
+        m = None
     if m is None:
         raise TangleSyntaxError(f"bad color token {text!r}", offset)
     if kind == "V":
-        return Typical(float(m.group(1)))
+        return Typical(z)
     if kind == "S":
         return Simple(int(m.group(1)), int(m.group(2)))
     if kind == "P":
         return Projective(int(m.group(1)), int(m.group(2)))
     if kind == "C":
         return OneDim(int(m.group(1)))
-    return DeformX(int(m.group(1)), int(m.group(2)), float(m.group(3)))
+    return DeformX(int(m.group(1)), int(m.group(2)), z)
 
 
 def _tokenize(text: str):
@@ -381,6 +385,8 @@ def eval_tangle(cfg: RibbonConfig, expr: TangleExpr,
     if open_module is None:
         open_module = make_module(ctx, expr.open_color)
     mods = {(_OPEN, False): open_module}
+    if not recolored:  # closed strands of the open color share its module
+        mods[expr.open_color, False] = open_module
 
     def module(key, is_dual: bool) -> WeightModule:
         """The module of a strand, built on first use; a dual from its plain module."""
@@ -439,16 +445,21 @@ class EndoDecomp:
     residual: float
 
 
-def nilpotent_endo(p: WeightModule) -> np.ndarray:
-    """The square-zero endomorphism sending the top head vector to the top socle-shift."""
+def _head_socle(p: WeightModule, what: str):
+    """Indices (r - 1, r + i) of the top head and top socle-shift vectors of a
+    projective cover of Simple(i, l); BasisError "not a <what>" otherwise."""
     cover = projective_cover(p.label)
     if cover is None:
-        raise BasisError(f"not a projective-cover module: {format_label(p.label)}")
+        raise BasisError(f"not a {what}: {format_label(p.label)}")
+    return p.ctx.r - 1, p.ctx.r + cover[0]
+
+
+def nilpotent_endo(p: WeightModule) -> np.ndarray:
+    """The square-zero endomorphism sending the top head vector to the top socle-shift."""
+    hi, si = _head_socle(p, "projective-cover module")
     endo = hom_space(p, p)
     if len(endo) != 2:
         raise BasisError(f"endomorphism space has dimension {len(endo)}, expected 2")
-    r = p.ctx.r
-    hi, si = r - 1, r + cover[0]  # indices of the top head and top socle-shift vectors
     rows = np.array([[m.matrix[hi, hi], m.matrix[si, hi]] for m in endo]).T
     coeffs = np.linalg.solve(rows, np.array([0.0, 1.0]))
     x = coeffs[0] * endo[0].matrix + coeffs[1] * endo[1].matrix
@@ -470,12 +481,8 @@ def decompose_endo(f, p: WeightModule) -> EndoDecomp:
         res = max(res, float(r_))
     if res > p.ctx.tol * 100:
         raise NotEndomorphismError(f"map does not commute with the action (residual {res:.2e})")
-    cover = projective_cover(p.label)
-    if cover is None:
-        raise BasisError(f"not a projective cover: {format_label(p.label)}")
+    hi, si = _head_socle(p, "projective cover")
     x = nilpotent_endo(p)
-    r = p.ctx.r
-    hi, si = r - 1, r + cover[0]
     a = complex(mat[hi, hi])
     b = complex(mat[si, hi])
     recon = a * np.eye(p.dim) + b * x

@@ -168,3 +168,32 @@ def test_closed_color_without_closed_form_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: no closed") and err.count("\n") == 1
+
+
+def test_alpha_overrides_only_a_generic_closed_color(capsys):
+    code, out, err = run(capsys, "hopf", "--r", "3", "--closed", "S(1,0)", "--beta", "0.7",
+                         "--alpha", "0.3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --alpha") and err.count("\n") == 1
+
+
+def test_complex_generic_color_in_a_tangle(capsys):
+    code, out, err = run(capsys, "tangle", "--r", "3", "--expr", "open V(0.3+0.1i) | hopf V(0.37)")
+    assert code == 0, err
+    want = "open V(0.3+0.1i) | insert 2 V(0.37); br+ 1; br+ 1; evR 2"
+    assert json.loads(out)["normal_form"] == want
+
+
+def test_cross_check_failure_is_a_mismatch(capsys, monkeypatch):
+    """Two routes to one coefficient that disagree exit 1 with one mismatch line."""
+    from unrolled_sl2 import cli
+    from unrolled_sl2.deform import CrossCheckError
+
+    def disagree(cfg, expr):
+        raise CrossCheckError("identity coefficient limits disagree: 0j vs 1j")
+    monkeypatch.setattr(cli, "log_tangle_invariant", disagree)
+    code, out, err = run(capsys, "tangle", "--r", "3", "--expr", "open P(1,0) | hopf V(0.37)")
+    assert code == 1
+    assert out == ""
+    assert err == "mismatch: identity coefficient limits disagree: 0j vs 1j\n"

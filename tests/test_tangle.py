@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from unrolled_sl2.qnum import QContext
-from unrolled_sl2.rep import Projective, Simple, Typical, make_module
+from unrolled_sl2.rep import DeformX, Projective, Simple, Typical, make_module
 from unrolled_sl2 import tangle
 from unrolled_sl2.ribbon import (
     braiding_matrix, coev_left, ev_right, get_config, hopf_closed_form, modified_dim,
@@ -44,6 +44,28 @@ def test_parse_errors():
     with pytest.raises(TypeMismatchError):
         # cap over mismatched colors
         parse_tangle("open V(0.5) | insert 2 S(0,0); evL 2")
+
+
+@pytest.mark.parametrize("alpha", [0.37, -1.2, 2.0, 0.3 + 0.1j, -0.41 - 1.1j, 2.5j])
+def test_str_parses_back(alpha):
+    """str(expr) parses back to expr over real and complex generic colors."""
+    for expr in (hopf_tangle(Typical(alpha), Typical(0.37)),
+                 hopf_tangle(Projective(1, 0), Typical(alpha)),
+                 hopf_tangle(DeformX(0, 1, 0.25), Typical(alpha))):
+        assert parse_tangle(str(expr)) == expr
+    assert tangle.parse_color(f" V( {alpha.real} {alpha.imag:+}I ) ") == Typical(alpha)
+    for bad in ("V()", "V(nan)", "V(1+)", "V(0.3+0.1k)", "X(0,0,)"):
+        with pytest.raises(TangleSyntaxError):
+            tangle.parse_color(bad)
+
+
+def test_open_color_module_is_built_once(monkeypatch):
+    """A cup of the open color reuses the open strand's module."""
+    cfg = get_config(QContext(2))
+    built, make = [], tangle.make_module
+    monkeypatch.setattr(tangle, "make_module", lambda ctx, lab: built.append(lab) or make(ctx, lab))
+    eval_tangle(cfg, parse_tangle("open V(0.37) | coevL; br+ 1; br+ 1; br+ 1; evR 2"))
+    assert built == [Typical(0.37)]
 
 
 def test_parse_powerhopf_and_twistloop():
