@@ -8,7 +8,11 @@ parameter, evaluating the ordinary renormalized invariants there, and
 reading the limit off the jets: the trace is the limit of the sum, the
 identity coefficient the common limit of the two normalized scalars, and
 the nilpotent coefficient both a quotient limit and (cross-check) a
-derivative combination.
+derivative combination.  Both summands are evaluated in one contraction:
+the open strand carries Typical of the batch (lambda-, lambda+) + eps, and
+the evaluation's matrix and its round-off scales are split per summand.
+Each identity-coefficient limit is floored at the round-off of its own
+summand's eps^0 contraction.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from .qnum import QContext, qbracket, qint, qpow
 from .rep import (
-    DeformX, OneDim, Projective, RangeError, Simple, Typical, make_deformable,
+    DeformX, OneDim, Projective, RangeError, Simple, Typical, _stack, make_deformable,
     make_module, mat_limit, projective_cover, summand_weights,
 )
 from .ribbon import NoClosedFormError, RibbonConfig, modified_dim, scalar_of
@@ -76,8 +80,7 @@ def log_tangle_invariant(cfg: RibbonConfig, expr: TangleExpr) -> LogInvariantRes
     i, l = _open_indices(ctx, expr.open_color)
     e = ctx.eps()
     lam_m, lam_p = summand_weights(ctx, i, l, e)
-    gm = _recolored_scalar(cfg, expr, lam_m)
-    gp = _recolored_scalar(cfg, expr, lam_p)
+    (gm, s0m), (gp, s0p) = _recolored_scalars(cfg, expr, (lam_m, lam_p))
 
     dm = modified_dim(ctx, Typical(lam_m))
     dp = modified_dim(ctx, Typical(lam_p))
@@ -89,9 +92,11 @@ def log_tangle_invariant(cfg: RibbonConfig, expr: TangleExpr) -> LogInvariantRes
     floor_t = ctx.tol * max(1.0, tm.norm(0), tp.norm(0))
     trace = (tm + tp).limit(ctx.tol, atol=floor_t)
 
+    # the eps^0 slice of a scalar is the float contraction at eps = 0, so
+    # its round-off also scales with that contraction's largest eps^0 state
     floor_a = ctx.tol * max(1.0, gm.norm(0), gp.norm(0))
-    am = gm.limit(ctx.tol, atol=floor_a)
-    ap = gp.limit(ctx.tol, atol=floor_a)
+    am = gm.limit(ctx.tol, atol=max(floor_a, ctx.tol * s0m))
+    ap = gp.limit(ctx.tol, atol=max(floor_a, ctx.tol * s0p))
     if abs(am - ap) > 1e-8 * max(1.0, abs(am)):
         raise CrossCheckError(f"identity coefficient limits disagree: {am} vs {ap}")
     a = (am + ap) / 2
@@ -110,11 +115,18 @@ def log_tangle_invariant(cfg: RibbonConfig, expr: TangleExpr) -> LogInvariantRes
     return LogInvariantResult(trace, a, b, b_deriv, resid)
 
 
-def _recolored_scalar(cfg: RibbonConfig, expr: TangleExpr, alpha):
-    """Scalar of the tangle endomorphism with the open strand recolored."""
-    mod = make_module(cfg.ctx, Typical(alpha))
+def _recolored_scalars(cfg: RibbonConfig, expr: TangleExpr, alphas):
+    """[(g, scale0)]: the scalar of the tangle endomorphism with the open
+    strand recolored by each weight of alphas, and the eps^0 round-off scale
+    of its contraction, from one evaluation on the batched module of them.
+    A word whose open strand no gate touches gives one unbatched matrix.
+    """
+    mod = make_module(cfg.ctx, Typical(_stack(alphas)))
     lm = eval_tangle(cfg, expr, open_module=mod)
-    return scalar_of(lm.matrix, mod.dim, cfg.ctx.tol, lm.scale)
+    n = len(alphas)
+    mats = [lm.matrix[t] for t in range(n)] if len(lm.matrix.shape) > 2 else [lm.matrix] * n
+    scale, scale0 = np.broadcast_to(lm.scale, n), np.broadcast_to(lm.scale0, n)
+    return [(scalar_of(mats[t], mod.dim, cfg.ctx.tol, scale[t]), scale0[t]) for t in range(n)]
 
 
 def log_endomorphism(cfg: RibbonConfig, expr: TangleExpr):

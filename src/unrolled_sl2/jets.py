@@ -20,8 +20,9 @@ one broadcast call over its leading order axis, so a jet product makes at
 most min(order) slice products.  A plain array operand is never promoted to
 a zero-padded jet: it is one call against the stack.  In *, the lower-rank
 stack is padded so that a scalar jet broadcasts across entries and not
-across orders; in @, a matrix stack is padded to the other operand's rank,
-so a gate jet broadcasts over the batch axes of a state.  + and - add a
+across orders; in @, on either side, a matrix stack is padded to the other
+operand's rank, so a gate jet broadcasts over the batch axes of a state,
+and a batched plain gate over those of a jet state.  + and - add a
 plain operand into the eps^0 slice without promoting it.
 
 Zero detection follows two rules.  Arithmetic trims a leading slice only
@@ -221,8 +222,12 @@ class Jet:
         return a._convolve(other, np.matmul)
 
     def __rmatmul__(self, other):
-        # other @ self for a plain other; M @ v is v @ M^T on a vector jet
-        return self._convolve(
+        # other @ self for a plain other; M @ v is v @ M^T on a vector jet.  As
+        # in @, a matrix stack is padded to the other operand's rank, so that
+        # the batch axes of a batched gate broadcast after this stack's orders
+        pad = np.ndim(other) - len(self.shape)
+        a = self if pad <= 0 or len(self.shape) < 2 else self.reshape((1,) * pad + self.shape)
+        return a._convolve(
             other, lambda s, o: np.matmul(s, o.T) if s.ndim == 2 else np.matmul(o, s))
 
     def kron(self, other) -> "Jet":

@@ -11,7 +11,9 @@ explicit eps != 0 change of basis onto the two-summand decomposition
 complete the toolbox.  The H-weights are one vector w (a complex array, or
 a vector jet on the deformation path), and H = diag(w), K = diag(q^w) and
 K^-1 = diag(q^-w) are built from it; only the self-extension adds a Jordan
-part to them.
+part to them.  A generic module may carry a batch of weights (Typical of an
+array or a vector jet of shape B): its weights, E, H, K and K^-1 then have
+B as leading axes.
 """
 
 from __future__ import annotations
@@ -206,7 +208,11 @@ class LinearMap:
     source: WeightModule
     target: WeightModule
     matrix: object
-    scale: float = 1.0  # magnitude of the largest intermediate the matrix was computed from
+    # magnitude of the largest intermediate the matrix was computed from, and
+    # the same over the intermediates' eps^0 slices; per summand (an array of
+    # shape B) for a (*B, d, d) matrix from a batched module
+    scale: float = 1.0
+    scale0: float = 1.0
 
     def __repr__(self):
         return (f"LinearMap({format_label(self.source.label)} -> "
@@ -230,26 +236,29 @@ def _assemble(dim: int, entries):
 
 
 def _diag(v, k: int = 0):
-    """Matrix, or jet matrix, with the vector or vector jet v on its k-th diagonal."""
-    if not isinstance(v, Jet):
-        return np.diag(v, k)
-    t = np.arange(v.shape[0])
-    d = len(t) + abs(k)
-    c = np.zeros((v.order, d, d), dtype=complex)
-    c[:, t + max(-k, 0), t + max(k, 0)] = v.c
-    return Jet(c, v.val)
+    """Matrix, or jet matrix, with the vector or vector jet v on its k-th
+    diagonal; a batch of vectors (*B, n) gives a batch of matrices."""
+    c = v.c if isinstance(v, Jet) else np.asarray(v, dtype=complex)
+    n = c.shape[-1]
+    d = n + abs(k)
+    out = np.zeros((*c.shape[:-1], d, d), dtype=complex)
+    # the k-th diagonal is n entries d+1 apart in the flat matrix, from k or -k d
+    start = max(k, -k * d)
+    out.reshape(*c.shape[:-1], d * d)[..., start:start + n * (d + 1):d + 1] = c
+    return Jet(out, v.val) if isinstance(v, Jet) else out
 
 
-def _stack(mats):
-    """Float or jet matrices (or scalars) stacked on a new leading axis;
-    jet-valued if any is.
+def _stack(mats, axis: int = 0):
+    """Float or jet matrices (or scalars) stacked on a new axis, at position
+    axis of the result as in np.stack; jet-valued if any is.
 
-    A float matrix is exact; the jets are aligned to the lowest valuation
-    (at most 0) and truncated to their shared precision.
+    Among jets, a float matrix is exact and broadcasts to their shape; the
+    jets are aligned to the lowest valuation (at most 0) and truncated to
+    their shared precision.
     """
     jets = [a for a in mats if isinstance(a, Jet)]
     if not jets:
-        return np.array(mats, dtype=complex)
+        return _moved(np.array(mats, dtype=complex), 0, axis)
     val = min(0, *(j.val for j in jets))
     n = min(j.val + j.order for j in jets) - val
     c = np.zeros((n, len(mats), *jets[0].shape), dtype=complex)
@@ -258,15 +267,22 @@ def _stack(mats):
             c[a.val - val:, t] = a.c[:max(n - a.val + val, 0)]
         elif -val < n:
             c[-val, t] = a
-    return Jet(c, val)
+    return Jet(_moved(c, 1, axis + 1 if axis >= 0 else axis), val)
+
+
+def _moved(c: np.ndarray, src: int, dst: int) -> np.ndarray:
+    """np.moveaxis(c, src, dst), skipped where it would not move anything."""
+    return c if dst % c.ndim == src else np.moveaxis(c, src, dst)
 
 
 def _powers(a, n: int):
-    """a^0, ..., a^(n-1) of a float or jet matrix, stacked on a new leading axis."""
-    out = [np.eye(a.shape[-1], dtype=complex), a]
+    """a^0, ..., a^(n-1) of a float or jet matrix, or of a batch (*B, d, d)
+    of them, stacked on axis -3: (*B, n, d, d)."""
+    eye = np.eye(a.shape[-1], dtype=complex)
+    out = [np.broadcast_to(eye, a.shape) if len(a.shape) > 2 else eye, a]
     while len(out) < n:
         out.append(out[-1] @ a)
-    return _stack(out)
+    return _stack(out, -3)
 
 
 def mat_norm(m) -> float:
@@ -312,11 +328,19 @@ def make_module(ctx: QContext, label) -> WeightModule:
 
 
 def _make_typical(ctx: QContext, alpha) -> WeightModule:
+    """Typical(alpha); a batch of weights alpha (an array or a vector jet of
+    shape B) gives one module whose weights, E, H, K and K^-1 carry B as
+    leading axes, and whose F, the same for every weight, carries none."""
     r = ctx.r
     k = np.arange(1, r)
-    return _from_weights(ctx, Typical(alpha if isinstance(alpha, Jet) else complex(alpha)),
-                         alpha + np.arange(r - 1, -r, -2),
-                         _diag(qint(ctx, k) * qint(ctx, k - alpha), 1),
+    label = alpha
+    if not isinstance(alpha, Jet):
+        alpha = np.asarray(alpha, dtype=complex)
+        label = alpha if alpha.ndim else complex(alpha)
+    a = alpha[..., None]
+    return _from_weights(ctx, Typical(label),
+                         a + np.arange(r - 1, -r, -2),
+                         _diag(qint(ctx, k) * qint(ctx, k - a), 1),
                          np.eye(r, k=-1, dtype=complex))
 
 
@@ -342,7 +366,7 @@ def _from_weights(ctx, label, weights, E, F) -> WeightModule:
     """Module with the given E and F, and H, K, K^-1 from the weights."""
     if not isinstance(weights, Jet):
         weights = np.asarray(weights, dtype=complex)
-    return WeightModule(ctx, label, weights.shape[0], E, F,
+    return WeightModule(ctx, label, weights.shape[-1], E, F,
                         _diag(qpow(ctx, weights)), _diag(qpow(ctx, -weights)),
                         _diag(weights), weights)
 
@@ -475,12 +499,14 @@ def tensor(m: WeightModule, n: WeightModule) -> WeightModule:
 
 
 def dual(m: WeightModule) -> WeightModule:
-    """Dual module via the antipode: generator u acts by S(u) transposed."""
-    E = -1 * (m.E @ m.Kinv).T
-    F = -1 * (m.K @ m.F).T
-    K = m.Kinv.T
-    Kinv = m.K.T
-    H = -1 * m.H.T
+    """Dual module via the antipode: generator u acts by S(u) transposed
+    (each matrix of a batched module's batch)."""
+    T = lambda a: a.swapaxes(-1, -2)
+    E = -1 * T(m.E @ m.Kinv)
+    F = -1 * T(m.K @ m.F)
+    K = T(m.Kinv)
+    Kinv = T(m.K)
+    H = -1 * T(m.H)
     weights = -m.weights
     return WeightModule(m.ctx, Dual(m.label), m.dim, E, F, K, Kinv, H, weights)
 

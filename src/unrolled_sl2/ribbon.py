@@ -22,7 +22,14 @@ and the Cartan factor are each one qpow of weight vectors, so ribbon maps
 take modules with diagonal H and refuse the self-extension with
 NotProjectiveError.  Every map has one code path for float and jet
 matrices: jets index, reshape and transpose like arrays, and multiply
-float operands without promoting them.  calibrate() checks the convention
+float operands without promoting them.  Every map also broadcasts over the
+leading batch axes B of a batched module (rep: Typical of a batch of
+weights, as the deformation path uses for both summands of a projective
+cover); an unbatched module is the case B = ().  rep._powers stacks on
+axis -3, so the powers are (*B, r, d, d); a crossing's tail is
+(*B, rows, rows) and its Cartan vector (*B, rows), and applied to a state
+viewed as (*B, L, rows, cols) both get a unit strand axis, so that B meets
+the state's summand axes and L broadcasts.  calibrate() checks the convention
 once per context: open Hopf links evaluated by the tangle engine must match
 their closed forms on a sample battery.  scalar_of measures residuals
 against the round-off scale a tangle evaluation carries, and
@@ -102,7 +109,8 @@ def _weights(m: WeightModule):
     """The weight vector, whose q-powers give the pivot and the Cartan factor;
     NotProjectiveError when H has a Jordan part (the self-extension)."""
     H = m.H
-    if not isinstance(H, Jet) and np.count_nonzero(H) > np.count_nonzero(np.diagonal(H)):
+    if not isinstance(H, Jet) and np.count_nonzero(H) > np.count_nonzero(
+            np.diagonal(H, axis1=-2, axis2=-1)):
         raise NotProjectiveError(f"ribbon maps need a diagonal H; {m.label} has a Jordan part")
     return m.weights
 
@@ -118,8 +126,10 @@ def _flip_index(dm: int, dn: int) -> np.ndarray:
 
 
 def _cartan_part(ctx: QContext, m: WeightModule, n: WeightModule, sign: int):
-    """Diagonal of q^(sign H x H / 2) over the tensor basis, as a vector."""
-    return qpow(ctx, 0.5 * sign * (_weights(m)[:, None] * _weights(n)[None, :])).reshape(-1)
+    """Diagonal of q^(sign H x H / 2) over the tensor basis, as a vector
+    (a batch of them for a batched module)."""
+    c = qpow(ctx, 0.5 * sign * (_weights(m)[..., :, None] * _weights(n)[..., None, :]))
+    return c.reshape(*c.shape[:-2], m.dim * n.dim)
 
 
 def _tail_coefs(ctx: QContext, sign: int) -> np.ndarray:
@@ -140,8 +150,11 @@ def _tail_part(ctx: QContext, m: WeightModule, n: WeightModule, sign: int):
     """
     r, dm, dn = ctx.r, m.dim, n.dim
     E = _tail_coefs(ctx, sign)[:, None, None] * _powers(m.E, r)
-    t = E.reshape(r, dm * dm).T @ _powers(n.F, r).reshape(r, dn * dn)
-    return t.reshape(dm, dm, dn, dn).swapaxes(1, 2).reshape(dm * dn, dm * dn)
+    F = _powers(n.F, r)
+    t = (E.reshape(*E.shape[:-3], r, dm * dm).swapaxes(-1, -2)
+         @ F.reshape(*F.shape[:-3], r, dn * dn))
+    B = t.shape[:-2]
+    return t.reshape(*B, dm, dm, dn, dn).swapaxes(-3, -2).reshape(*B, dm * dn, dm * dn)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,11 +174,16 @@ class Crossing:
 
     def __call__(self, x):
         """The crossing applied to x over its rows (axis -2): a matrix, or a
-        state viewed as (L, rows, R*batch).  x and the factors may each be
-        float or jet."""
+        state viewed as (*B, L, rows, R*batch).  On a state the factors,
+        of shape (*B, rows, rows) and (*B, rows), get a unit strand axis, so
+        that their batch axes meet the state's B and broadcast over its L
+        strands.  x and the factors may each be float or jet."""
+        tail, cartan = self.tail, self.cartan[..., :, None]
+        if len(x.shape) > 2:
+            tail, cartan = tail[..., None, :, :], cartan[..., None, :, :]
         if self.sign == 1:
-            return (self.cartan[:, None] * (self.tail @ x))[..., self.flip, :]
-        return self.tail @ (self.cartan[:, None] * x[..., self.flip, :])
+            return (cartan * (tail @ x))[..., self.flip, :]
+        return tail @ (cartan * x[..., self.flip, :])
 
 
 def crossing(cfg: RibbonConfig, m: WeightModule, n: WeightModule, sign: int = 1) -> Crossing:
@@ -190,12 +208,13 @@ def twist_matrix(cfg: RibbonConfig, m: WeightModule, sign: int = 1):
     stacked powers of X against those of Y with scaled columns.
     """
     ctx, r, d, p = cfg.ctx, cfg.ctx.r, m.dim, cfg.pivot_exponent
-    w, n = _weights(m), np.arange(r)[:, None]
+    w, n = _weights(m)[..., None, :], np.arange(r)[:, None]
     X, Y = (m.F, m.E) if sign == 1 else (m.E, m.F)
     cols = _tail_coefs(ctx, sign)[:, None] * qpow(ctx, sign * (w + 2 * sign * n)
                                                   * (w + 2 * sign * p) / 2)
-    Y = _powers(Y, r) * cols[:, None, :]
-    return _powers(X.T, r).reshape(r * d, d).T @ Y.reshape(r * d, d)
+    X, Y = _powers(X.swapaxes(-1, -2), r), _powers(Y, r) * cols[..., None, :]
+    return (X.reshape(*X.shape[:-3], r * d, d).swapaxes(-1, -2)
+            @ Y.reshape(*Y.shape[:-3], r * d, d))
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +236,14 @@ def coev_left(cfg, m: WeightModule):
 
 def ev_right(cfg, m: WeightModule):
     """M x M* -> C through the pivot."""
-    return _pivot_matrix(cfg, m).T.reshape(1, m.dim ** 2)
+    p = _pivot_matrix(cfg, m)
+    return p.swapaxes(-1, -2).reshape(*p.shape[:-2], 1, m.dim ** 2)
 
 
 def coev_right(cfg, m: WeightModule):
     """C -> M* x M through the inverse pivot."""
-    return _pivot_matrix(cfg, m, -1).T.reshape(m.dim ** 2, 1)
+    p = _pivot_matrix(cfg, m, -1)
+    return p.swapaxes(-1, -2).reshape(*p.shape[:-2], m.dim ** 2, 1)
 
 
 # ---------------------------------------------------------------------------

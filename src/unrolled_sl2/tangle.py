@@ -15,6 +15,17 @@ The state starts as a plain identity and turns into a jet at the first
 jet gate; a crossing is applied to it as its factors (ribbon.crossing),
 never as a dense matrix.
 
+The state is stored as (*B, rows, batch): rows index the tensor product of
+the strands, batch the open module's basis, and B the summand axes of a
+batched open module (the deformation path recolors the open strand with
+both generic summands of a projective cover at once).  A gate over strands
+[pos, pos+nin) acts on the view (*B, L, din, R*batch) with a unit strand
+axis on the gate, so its own summand axes meet the state's.  The state
+gains B at the first gate that touches the open strand, as it turns into a
+jet at the first jet gate.  The round-off scales of the contraction (the
+largest state entry, and the largest entry of the eps^0 slices) are
+tracked per summand.
+
 Frozen preset normal forms (the cap color of bare coev slices is the open
 color; `insert` is the colored left coevaluation):
 
@@ -357,17 +368,28 @@ def _walk(expr: TangleExpr):
 def _contract(state, dims, batch, pos, nin, gate, out_dims):
     """Apply a gate over strands [pos, pos+nin) of the batched state.
 
-    The state, float or jet, is viewed as (L, din, R*batch).  A crossing
-    applies its factors to that view; a gate matrix multiplies it, broadcast
-    over the L strands to the left and, on a jet, over its coefficient slices.
+    The state, float or jet, is viewed as (*B, L, din, R*batch).  A crossing
+    applies its factors to that view; a gate matrix, given a unit strand
+    axis, multiplies it, broadcast over the L strands to the left, over the
+    summand axes B of either and, on a jet, over its coefficient slices.
     """
     L = prod(dims[:pos - 1])
     din = prod(dims[pos - 1:pos - 1 + nin])
     R = prod(dims[pos - 1 + nin:])
-    view = state.reshape(L, din, R * batch)
-    out = gate(view) if isinstance(gate, Crossing) else gate @ view
+    view = state.reshape(*state.shape[:-2], L, din, R * batch)
+    out = gate(view) if isinstance(gate, Crossing) else gate[..., None, :, :] @ view
     new_dims = list(dims[:pos - 1]) + list(out_dims) + list(dims[pos - 1 + nin:])
-    return out.reshape(-1, batch), new_dims
+    return out.reshape(*out.shape[:-3], -1, batch), new_dims
+
+
+def _peaks(state):
+    """Largest |entry| of each summand of a state (shape B), over all of it
+    and over its slices of exponent <= 0 (all of a float state)."""
+    if not isinstance(state, Jet):
+        peak = np.abs(state).max(axis=(-2, -1))
+        return peak, peak
+    a = np.abs(state.c)
+    return a.max(axis=(0, -2, -1)), a[:max(1 - state.val, 0)].max(axis=(0, -2, -1), initial=0.0)
 
 
 def eval_tangle(cfg: RibbonConfig, expr: TangleExpr,
@@ -375,9 +397,12 @@ def eval_tangle(cfg: RibbonConfig, expr: TangleExpr,
     """Compose the slice maps bottom to top into an endomorphism of the open color.
 
     open_module overrides the module built from the open color label (used by
-    the deformation pathway, which recolors the open strand).  The returned
-    map carries as scale the largest entry of any intermediate state, the
-    round-off scale against which scalar_of tests it.
+    the deformation pathway, which recolors the open strand); on a batched
+    module the matrix is (*B, d, d), or (d, d) when no gate touches the open
+    strand.  The returned map carries as scale the largest entry of any
+    intermediate state, the round-off scale against which scalar_of tests
+    it, and as scale0 the largest entry of their eps^0 slices; both per
+    summand (shape B).
     """
     ctx = cfg.ctx
     expr, acts = _walk(expr)
@@ -400,7 +425,7 @@ def eval_tangle(cfg: RibbonConfig, expr: TangleExpr,
     dW = open_module.dim
     state = np.eye(dW, dtype=complex)  # batched over basis columns; a jet from the first jet gate
     dims = [dW]
-    scale = 1.0  # largest |state| entry, the round-off scale of the contraction
+    scale = scale0 = 1.0  # per summand: largest |state| entry, and of its eps^0 slice
 
     for s, strands in zip(expr.slices, acts):
         if isinstance(s, Braid):
@@ -420,12 +445,12 @@ def eval_tangle(cfg: RibbonConfig, expr: TangleExpr,
                 right = isinstance(s, Coev) and s.side != "L"
                 gate, nin, out = (coev_right if right else coev_left)(cfg, A), 0, (A.dim, A.dim)
         state, dims = _contract(state, dims, dW, s.pos, nin, gate, out)
-        scale = max(scale, mat_norm(state))
+        peak, peak0 = _peaks(state)
+        scale, scale0 = np.maximum(scale, peak), np.maximum(scale0, peak0)
 
-    mat = state.reshape(dW, dW)
-    if open_module.is_jet and not isinstance(mat, Jet):  # no jet gate was applied
-        mat = as_jet(mat, ctx.jet_order)
-    return LinearMap(open_module, open_module, mat, scale)
+    if open_module.is_jet and not isinstance(state, Jet):  # no jet gate was applied
+        state = as_jet(state, ctx.jet_order)
+    return LinearMap(open_module, open_module, state, scale, scale0)
 
 
 def renormalized_invariant(cfg: RibbonConfig, expr: TangleExpr,

@@ -142,6 +142,15 @@ def test_projective_index_out_of_range_is_usage_error(capsys, expr):
     assert err == "error: projective index must lie in 0..1, got 5\n"
 
 
+def test_identity_coefficient_round_off_is_not_a_mismatch(capsys):
+    """An r = 6 word whose a is 0 up to the round-off of the eps^0 contraction."""
+    expr = ("open P(1,1) | insert 2 V(0.41-1.1i); br+ 1; br- 2; br+ 1; br- 1; br- 2; br+ 1; "
+            "tw- 1; evR 2")
+    code, out, err = run(capsys, "tangle", "--r", "6", "--expr", expr)
+    assert code == 0, err
+    assert json.loads(out)["endo"]["a"] == [0.0, 0.0]
+
+
 @pytest.mark.parametrize("r, closed, beta, want", [
     (3, "S(1,0)", "0", [2.0, 0.0]),
     (3, "S(1,0)", "3", [-2.0, 0.0]),

@@ -7,7 +7,8 @@ from unrolled_sl2.qnum import QContext
 from unrolled_sl2.rep import DeformX, Projective, RangeError, Simple, Typical
 from unrolled_sl2.ribbon import get_config, modified_dim
 from unrolled_sl2.tangle import (
-    Insert, TangleExpr, hopf_tangle, parse_tangle, random_braid_tangle, twist_loop_tangle,
+    Insert, TangleExpr, eval_tangle, hopf_tangle, parse_tangle, random_braid_tangle,
+    twist_loop_tangle,
 )
 from unrolled_sl2.deform import (
     dim_limit_check, log_endomorphism, log_hopf, log_hopf_closed,
@@ -163,3 +164,30 @@ def test_long_word_with_zero_invariant_passes_the_scalar_test():
     for expr in (real, cplx):
         res = log_tangle_invariant(cfg, expr)
         assert max(abs(res.trace), abs(res.a), abs(res.b)) < 1e-6
+
+
+# This r = 6 word has a = 0: the eps^0 slices of both recolored scalars are
+# round-off of states up to 7.9e8 (lam+) and 1.1e4 (lam-), far above the
+# scalars' own eps^0 norms.  b is the recoloring oracle's value (a Richardson
+# stencil of float evaluations about each summand weight, not jets).
+_ROUND_OFF_WORD = ("open P(1,1) | insert 2 V(0.41-1.1i); br+ 1; br- 2; br+ 1; br- 1; br- 2; "
+                   "br+ 1; tw- 1; evR 2")
+
+
+def test_identity_coefficient_floor_covers_the_contraction_round_off():
+    """a reads 0 against the round-off scale of each summand's eps^0 contraction."""
+    res = log_tangle_invariant(get_config(QContext(6)), parse_tangle(_ROUND_OFF_WORD))
+    assert res.a == 0
+    assert res.b == pytest.approx(-4336722.066903854 + 1314558.341900613j, rel=1e-9)
+    assert res.residual_cross_check < 1e-12
+
+
+def test_word_that_leaves_the_open_strand_alone():
+    """No gate touches the open strand: both summands see the same closed loop,
+    so b = 0 and a is the loop's value, the twisted simple's quantum dimension."""
+    cfg = get_config(QContext(3))
+    res = log_tangle_invariant(cfg, parse_tangle("open P(1,0) | insert 2 S(1,0); tw+ 2; evR 2"))
+    loop = parse_tangle("open S(0,0) | insert 2 S(1,0); tw+ 2; evR 2")
+    want = complex(eval_tangle(cfg, loop).matrix[0, 0])
+    assert res.a == pytest.approx(want, rel=1e-12) and abs(want) > 0.1
+    assert res.b == 0

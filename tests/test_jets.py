@@ -203,6 +203,19 @@ def test_products_match_a_naive_cauchy_product():
     check(gate @ S, gate, S, over)                             # a jet gate on a plain state
 
 
+def test_batched_plain_gate_on_an_unbatched_jet_state():
+    """A plain gate with summand axes, (B, 1, m, n), on an unbatched jet state
+    (L, n, c) broadcasts B ahead of the state's axes in every slice."""
+    rng = np.random.default_rng(13)
+    gate = rng.normal(size=(2, 1, 3, 4)) + 1j * rng.normal(size=(2, 1, 3, 4))
+    state = Jet(rng.normal(size=(5, 6, 4, 2)) + 1j * rng.normal(size=(5, 6, 4, 2)), 1)
+    got = gate @ state
+    assert got.val == 1 and got.c.shape == (5, 2, 6, 3, 2)
+    for k in range(5):
+        want = gate @ state.c[k]
+        assert np.max(np.abs(got.c[k] - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_plain_operands_add_like_promoted_ones_bit_for_bit():
     """+ and - with a plain scalar or array add it into the eps^0 slice, and give
     the very valuation and coefficients of the sum with as_jet(plain, order),

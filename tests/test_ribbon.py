@@ -11,7 +11,7 @@ from unrolled_sl2.rep import (
 )
 from unrolled_sl2.ribbon import (
     CalibrationError, NonScalarError, NotProjectiveError, RibbonConfig,
-    braiding_matrix, calibrate, ev_left, ev_right, coev_left, coev_right,
+    braiding_matrix, calibrate, crossing, ev_left, ev_right, coev_left, coev_right,
     get_config, hopf_closed_form, modified_dim, modified_trace, scalar_of,
     twist_matrix,
 )
@@ -371,6 +371,48 @@ def _textbook_twist(r, m, sign):
     c = c if sign == 1 else np.linalg.inv(c)
     pivot = np.diag(np.exp(1j * np.pi / r * (1 - r) * m.weights))
     return np.einsum("abvj,jb->av", c.reshape(d, d, d, d), pivot)
+
+
+@pytest.mark.parametrize("r", RS + [6])
+def test_ribbon_maps_on_a_batched_module(r):
+    """On Typical of a batch of weights, a crossing applied to a state, the
+    twist and the right dualities are the stacks of the per-weight maps, and
+    each summand passes the textbook crossing and partial-trace twist."""
+    ctx = QContext(r)
+    cfg = get_config(ctx)
+    rng = np.random.default_rng(r)
+    alphas = np.array([0.37 - 0.21j, -1.13 + 0.4j])
+    vb, vs = make_module(ctx, Typical(alphas)), [make_module(ctx, Typical(a)) for a in alphas]
+    close = lambda got, want: np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    for z in (make_module(ctx, Simple(r - 2, 1)), make_module(ctx, Projective(0, -1))):
+        d = vb.dim * z.dim
+        state = rng.standard_normal((3, d, 4)) + 1j * rng.standard_normal((3, d, 4))
+        for sign in (1, -1):
+            for batched_left in (True, False):
+                pair = lambda v: (v, z) if batched_left else (z, v)
+                got = crossing(cfg, *pair(vb), sign)(state)
+                dense = braiding_matrix(cfg, *pair(vb), sign)
+                assert got.shape == (2, 3, d, 4) and dense.shape == (2, d, d)
+                for t, v in enumerate(vs):
+                    assert close(got[t], crossing(cfg, *pair(v), sign)(state))
+                    m, n = pair(v)
+                    want = (_textbook_crossing(r, m, n) if sign == 1
+                            else np.linalg.inv(_textbook_crossing(r, n, m)))
+                    assert close(dense[t], want)
+    for sign in (1, -1):
+        got = twist_matrix(cfg, vb, sign)
+        for t, v in enumerate(vs):
+            assert close(got[t], twist_matrix(cfg, v, sign))
+            assert close(got[t], _textbook_twist(r, v, sign))
+    for duality in (ev_right, coev_right):
+        got = duality(cfg, vb)
+        assert got.shape[0] == 2
+        for t, v in enumerate(vs):
+            assert close(got[t], duality(cfg, v))
+    for gen in ("E", "F", "K", "Kinv", "H"):
+        got = np.broadcast_to(getattr(dual(vb), gen), (2, r, r))
+        for t, v in enumerate(vs):
+            assert close(got[t], getattr(dual(v), gen))
 
 
 def _dense_composite(cfg, v, slices):

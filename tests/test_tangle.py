@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from unrolled_sl2.qnum import QContext
-from unrolled_sl2.rep import DeformX, Projective, Simple, Typical, make_module
+from unrolled_sl2.rep import DeformX, Projective, Simple, Typical, make_module, summand_weights
 from unrolled_sl2 import tangle
 from unrolled_sl2.ribbon import (
     braiding_matrix, coev_left, ev_right, get_config, hopf_closed_form, modified_dim,
@@ -257,3 +257,47 @@ def test_trefoil_is_invariant_under_the_markov_move(r):
     two = _knot_scalar(cfg, 0.37, _TREFOIL) / theta ** 3
     three = _knot_scalar(cfg, 0.37, _TREFOIL_3) / theta ** 4
     assert abs(two - three) <= 1e-13 * abs(two)
+
+
+def _same_jet(x, y, rel):
+    """Two jets agree on the coefficients of every order both know."""
+    val, top = min(x.val, y.val), min(x.val + x.order, y.val + y.order)
+
+    def coefs(j):
+        c = np.zeros((top - val, *j.shape), dtype=complex)
+        c[j.val - val:] = j.c[:top - j.val]
+        return c
+    cx, cy = coefs(x), coefs(y)
+    return np.max(np.abs(cx - cy)) <= rel * np.max(np.abs(cx))
+
+
+_BATCH_WORDS = [
+    "hopf V(0.41-0.3i)", "hopf S({top},1)", "hopf P(0,-1)",
+    "insert 2 V(0.73-0.14i); br+ 1; br- 2; br+ 1; br- 1; br- 2; br+ 1; tw- 1; evR 2",
+    "insert 2 S(0,-1); br- 1; tw+ 1; br- 1; tw- 1; tw+ 1; evR 2",
+]
+_UNTOUCHED = "insert 2 V(0.3); tw+ 2; br- 2; br- 2; evR 2"  # no gate acts on the open strand
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_batched_open_module_equals_each_summand(r):
+    """eval_tangle with the open strand recolored by both summand weights at
+    once equals the two evaluations one weight at a time: the matrix, and
+    each summand's scale and scale0.  A word whose open strand no gate
+    touches gives one matrix without a batch axis."""
+    ctx = QContext(r)
+    cfg = get_config(ctx)
+    i, l = r - 2, 1
+    lams = summand_weights(ctx, i, l)
+    batched = make_module(ctx, Typical(np.array(lams) + ctx.eps()))
+    singles = [make_module(ctx, Typical(lam + ctx.eps())) for lam in lams]
+    for body in _BATCH_WORDS + [_UNTOUCHED]:
+        expr = parse_tangle(f"open P({i},{l}) | " + body.format(top=r - 2))
+        lm = eval_tangle(cfg, expr, open_module=batched)
+        assert len(lm.matrix.shape) == (2 if body == _UNTOUCHED else 3)
+        for t, single in enumerate(singles):
+            one = eval_tangle(cfg, expr, open_module=single)
+            mat = lm.matrix if body == _UNTOUCHED else lm.matrix[t]
+            assert _same_jet(mat, one.matrix, 1e-14), body
+            for got, want in ((lm.scale, one.scale), (lm.scale0, one.scale0)):
+                assert np.broadcast_to(got, 2)[t] == pytest.approx(want, rel=1e-14, abs=0)
