@@ -44,6 +44,7 @@ deformation limit (see the deform module).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -132,12 +133,16 @@ def _cartan_part(ctx: QContext, m: WeightModule, n: WeightModule, sign: int):
     return c.reshape(*c.shape[:-2], m.dim * n.dim)
 
 
+@lru_cache(maxsize=None)
 def _tail_coefs(ctx: QContext, sign: int) -> np.ndarray:
     """((sign {1})^k / [k]!) q^(sign k(k-1)/2) for k < r: the coefficients of
-    the q-exponential exp_q({1} x) for sign = +1, of its inverse for sign = -1."""
+    the q-exponential exp_q({1} x) for sign = +1, of its inverse for sign = -1.
+    Cached per context, as every crossing and twist reads them; read-only."""
     k = np.arange(ctx.r)
     fact = np.cumprod(np.concatenate([[1.0], qint(ctx, k[1:])]))
-    return (sign * qbracket(ctx, 1)) ** k / fact * qpow(ctx, sign * k * (k - 1) / 2)
+    c = (sign * qbracket(ctx, 1)) ** k / fact * qpow(ctx, sign * k * (k - 1) / 2)
+    c.setflags(write=False)
+    return c
 
 
 def _tail_part(ctx: QContext, m: WeightModule, n: WeightModule, sign: int):
