@@ -13,18 +13,27 @@ the open strand carries Typical of the batch (lambda-, lambda+) + eps, and
 the evaluation's matrix and its round-off scales are split per summand.
 Each identity-coefficient limit is floored at the round-off of its own
 summand's eps^0 contraction.
+
+What the family fixes is built once per context and cover: _family(ctx, i,
+l) holds the batched open module (with its stacks of E and F powers), the
+modified dimensions d(lambda- + eps) and d(lambda+ + eps), and the
+reciprocal of [1+i][eps].  It is an lru_cache keyed by the frozen context's
+value and the two indices, bounded at 128 entries (one round over r = 2..6,
+i <= r - 2, l in {-1, 0, 1} uses 45), and every array of an entry is
+read-only, so an in-place write fails instead of corrupting later calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .qnum import QContext, qbracket, qint, qpow
 from .rep import (
-    DeformX, OneDim, Projective, RangeError, Simple, Typical, _stack, make_deformable,
-    make_module, mat_limit, projective_cover, summand_weights,
+    DeformX, OneDim, Projective, RangeError, Simple, Typical, _read_only, _stack,
+    make_deformable, make_module, mat_limit, projective_cover, summand_weights,
 )
 from .ribbon import NoClosedFormError, RibbonConfig, modified_dim, scalar_of
 from .tangle import (
@@ -68,22 +77,39 @@ def _open_indices(ctx: QContext, label):
     return i, l
 
 
+@lru_cache(maxsize=128)
+def _family(ctx: QContext, i: int, l: int):
+    """(module, d-, d+, 1 / ([1+i][eps])) of the deformable family through
+    P(i, l): Typical of the batch (lambda-, lambda+) + eps, the modified
+    dimension of each summand, and the reciprocal of the quotient route's
+    denominator.  Cached per (context, i, l); every array is read-only."""
+    e = ctx.eps()
+    lam_m, lam_p = summand_weights(ctx, i, l, e)
+    mod = make_module(ctx, Typical(_stack((lam_m, lam_p))))
+    entry = (mod, modified_dim(ctx, Typical(lam_m)), modified_dim(ctx, Typical(lam_p)),
+             (qint(ctx, 1 + i) * qint(ctx, e)).reciprocal())
+    for a in (mod.E, mod.F, mod.K, mod.Kinv, mod.H, mod.weights, mod.label.alpha, *entry[1:]):
+        _read_only(a)
+    for gen in "EF":  # the power stacks too, built read-only with the entry
+        mod.powers(gen)
+    return entry
+
+
 def log_tangle_invariant(cfg: RibbonConfig, expr: TangleExpr) -> LogInvariantResult:
     """Trace and endomorphism coefficients of a tangle with projective open color.
 
     The quotient route divides the difference of the two recolored scalars
     by [1+i][eps]; the derivative route combines the first jet derivatives
     with the prefactor r {1}^2 / (2 pi i {1+i}).  Both are returned and
-    cross-checked to 1e-7 relative.
+    cross-checked to 1e-7 relative.  The recolored open module, the
+    summands' modified dimensions and 1 / ([1+i][eps]) come from the
+    family cache (_family: keyed by the context's value and (i, l), at most
+    128 entries, read-only), so a call builds none of them.
     """
     ctx = cfg.ctx
     i, l = _open_indices(ctx, expr.open_color)
-    e = ctx.eps()
-    lam_m, lam_p = summand_weights(ctx, i, l, e)
-    (gm, s0m), (gp, s0p) = _recolored_scalars(cfg, expr, (lam_m, lam_p))
-
-    dm = modified_dim(ctx, Typical(lam_m))
-    dp = modified_dim(ctx, Typical(lam_p))
+    mod, dm, dp, inv_b = _family(ctx, i, l)
+    (gm, s0m), (gp, s0p) = _recolored_scalars(cfg, expr, mod)
     tm, tp = gm * dm, gp * dp
     # cancellation floors: a quantity whose value is genuinely zero leaves
     # only rounding noise behind, which must not masquerade as a pole.  Each
@@ -103,7 +129,7 @@ def log_tangle_invariant(cfg: RibbonConfig, expr: TangleExpr) -> LogInvariantRes
 
     floor_b = ctx.tol * max(1.0, gm.norm(1), gp.norm(1))
     num = (gm - gp).normalized(ctx.tol, atol=floor_b, upto=1)
-    b = (num / (qint(ctx, 1 + i) * qint(ctx, e))).limit(ctx.tol, atol=floor_b)
+    b = (num * inv_b).limit(ctx.tol, atol=floor_b)
     br1 = qbracket(ctx, 1)
     b_deriv = (ctx.r * br1 ** 2 / (2j * np.pi * qbracket(ctx, 1 + i))
                * (gm.derivative(1, ctx.tol, atol=floor_b)
@@ -115,15 +141,14 @@ def log_tangle_invariant(cfg: RibbonConfig, expr: TangleExpr) -> LogInvariantRes
     return LogInvariantResult(trace, a, b, b_deriv, resid)
 
 
-def _recolored_scalars(cfg: RibbonConfig, expr: TangleExpr, alphas):
+def _recolored_scalars(cfg: RibbonConfig, expr: TangleExpr, mod):
     """[(g, scale0)]: the scalar of the tangle endomorphism with the open
-    strand recolored by each weight of alphas, and the eps^0 round-off scale
-    of its contraction, from one evaluation on the batched module of them.
-    A word whose open strand no gate touches gives one unbatched matrix.
+    strand recolored by each summand of the batched module mod, and the
+    eps^0 round-off scale of its contraction, from one evaluation.  A word
+    whose open strand no gate touches gives one unbatched matrix.
     """
-    mod = make_module(cfg.ctx, Typical(_stack(alphas)))
     lm = eval_tangle(cfg, expr, open_module=mod)
-    n = len(alphas)
+    n = mod.weights.shape[0]
     mats = [lm.matrix[t] for t in range(n)] if len(lm.matrix.shape) > 2 else [lm.matrix] * n
     scale, scale0 = np.broadcast_to(lm.scale, n), np.broadcast_to(lm.scale0, n)
     return [(scalar_of(mats[t], mod.dim, cfg.ctx.tol, scale[t]), scale0[t]) for t in range(n)]

@@ -18,6 +18,7 @@ B as leading axes.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -168,11 +169,14 @@ def _fmt_num(z) -> str:
 def parse_complex(text: str) -> complex:
     """Parse 'a', 'bi' or 'a+bi' literals, as _fmt_num prints them; spaces are
     ignored and I or j also name the unit.  Any other character (as in nan,
-    inf or 1_0) is refused with ValueError."""
+    inf or 1_0), and a literal that overflows to infinity (as 1e400), is
+    refused with ValueError."""
     t = "".join(text.split()).replace("I", "j").replace("i", "j")
-    if set(t) - set("0123456789.eE+-j"):
-        raise ValueError(f"bad complex literal {text!r}")
-    return complex(t)
+    if not set(t) - set("0123456789.eE+-j"):
+        z = complex(t)
+        if cmath.isfinite(z):
+            return z
+    raise ValueError(f"bad complex literal {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +200,15 @@ class WeightModule:
     @property
     def is_jet(self) -> bool:
         return isinstance(self.E, Jet) or isinstance(self.K, Jet)
+
+    def powers(self, gen: str):
+        """gen^0, ..., gen^(r-1) of the generator gen ("E" or "F"), stacked on
+        axis -3 as _powers stacks them.  Built on first use and kept, read-only,
+        for as long as the generator is the same object."""
+        a, memo = getattr(self, gen), self.__dict__.get("_powers_" + gen)
+        if memo is None or memo[0] is not a:
+            memo = self.__dict__["_powers_" + gen] = (a, _read_only(_powers(a, self.ctx.r)))
+        return memo[1]
 
     def __repr__(self):
         return f"WeightModule({format_label(self.label)}, r={self.ctx.r}, dim={self.dim})"
@@ -283,6 +296,13 @@ def _powers(a, n: int):
     while len(out) < n:
         out.append(out[-1] @ a)
     return _stack(out, -3)
+
+
+def _read_only(x):
+    """x, an ndarray or a jet, with its array (a jet's coefficient stack) made
+    read-only, so an in-place write to a kept value fails loudly."""
+    (x.c if isinstance(x, Jet) else x).setflags(write=False)
+    return x
 
 
 def mat_norm(m) -> float:

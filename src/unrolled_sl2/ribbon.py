@@ -22,18 +22,23 @@ and the Cartan factor are each one qpow of weight vectors, so ribbon maps
 take modules with diagonal H and refuse the self-extension with
 NotProjectiveError.  Every map has one code path for float and jet
 matrices: jets index, reshape and transpose like arrays, and multiply
-float operands without promoting them.  Every map also broadcasts over the
-leading batch axes B of a batched module (rep: Typical of a batch of
-weights, as the deformation path uses for both summands of a projective
-cover); an unbatched module is the case B = ().  rep._powers stacks on
-axis -3, so the powers are (*B, r, d, d); a crossing's tail is
-(*B, rows, rows) and its Cartan vector (*B, rows), and applied to a state
-viewed as (*B, L, rows, cols) both get a unit strand axis, so that B meets
-the state's summand axes and L broadcasts.  calibrate() checks the convention
-once per context: open Hopf links evaluated by the tangle engine must match
-their closed forms on a sample battery.  scalar_of measures residuals
-against the round-off scale a tangle evaluation carries, and
-modified_trace passes it when given a LinearMap.
+float operands without promoting them.  The tail and the twist read the
+stacks of powers of E and F from WeightModule.powers, which builds each
+once per module and keeps it read-only: a tangle evaluation reuses every
+strand's stacks across its crossings and twists, and the deformation
+families that deform caches per context reuse theirs across evaluations.
+Every map also broadcasts over the leading batch axes B of a batched
+module (rep: Typical of a batch of weights, as the deformation path uses
+for both summands of a projective cover); an unbatched module is the case
+B = ().  rep._powers stacks on axis -3, so the powers are (*B, r, d, d);
+a crossing's tail is (*B, rows, rows) and its Cartan vector (*B, rows),
+and applied to a state viewed as (*B, L, rows, cols) both get a unit
+strand axis, so that B meets the state's summand axes and L broadcasts.
+calibrate() checks the convention once per context: open Hopf links
+evaluated by the tangle engine must match their closed forms on a sample
+battery.  scalar_of measures residuals against the round-off scale a
+tangle evaluation carries, and modified_trace passes it when given a
+LinearMap.
 
 The modified trace is normalized on the weight-0 generic module and
 evaluated through its closed-form modified dimensions; on indecomposable
@@ -52,7 +57,7 @@ from .jets import Jet
 from .qnum import QContext, qbracket, qint, qpow
 from .rep import (
     DeformX, LinearMap, OneDim, Projective, SelfExt, Simple, Sum, Typical, WeightModule,
-    _diag, _powers, mat_norm, projective_cover, summand_weights,
+    _diag, mat_norm, projective_cover, summand_weights,
 )
 
 __all__ = [
@@ -154,8 +159,8 @@ def _tail_part(ctx: QContext, m: WeightModule, n: WeightModule, sign: int):
     whose (a c, b d) entries are transposed to the crossing's (a b, c d).
     """
     r, dm, dn = ctx.r, m.dim, n.dim
-    E = _tail_coefs(ctx, sign)[:, None, None] * _powers(m.E, r)
-    F = _powers(n.F, r)
+    E = _tail_coefs(ctx, sign)[:, None, None] * m.powers("E")
+    F = n.powers("F")
     t = (E.reshape(*E.shape[:-3], r, dm * dm).swapaxes(-1, -2)
          @ F.reshape(*F.shape[:-3], r, dn * dn))
     B = t.shape[:-2]
@@ -210,16 +215,16 @@ def twist_matrix(cfg: RibbonConfig, m: WeightModule, sign: int = 1):
     (E, F) for s = -1, the closed form of the module docstring is
     sum_(n<r) c_n X^n K^p Y^n q^(s H (H + 2sn) / 2).  Moving K^p past Y^n
     gives sum_n c_n X^n Y^n q^(s (H + 2sn)(H + 2sp) / 2): one matmul of the
-    stacked powers of X against those of Y with scaled columns.
+    stacked powers of X against those of Y with scaled columns: the X^n
+    side by side, (d, r d), against the scaled Y^n on top of each other.
     """
     ctx, r, d, p = cfg.ctx, cfg.ctx.r, m.dim, cfg.pivot_exponent
     w, n = _weights(m)[..., None, :], np.arange(r)[:, None]
-    X, Y = (m.F, m.E) if sign == 1 else (m.E, m.F)
+    X, Y = ("F", "E") if sign == 1 else ("E", "F")
     cols = _tail_coefs(ctx, sign)[:, None] * qpow(ctx, sign * (w + 2 * sign * n)
                                                   * (w + 2 * sign * p) / 2)
-    X, Y = _powers(X.swapaxes(-1, -2), r), _powers(Y, r) * cols[..., None, :]
-    return (X.reshape(*X.shape[:-3], r * d, d).swapaxes(-1, -2)
-            @ Y.reshape(*Y.shape[:-3], r * d, d))
+    X, Y = m.powers(X).swapaxes(-3, -2), m.powers(Y) * cols[..., None, :]
+    return X.reshape(*X.shape[:-3], d, r * d) @ Y.reshape(*Y.shape[:-3], r * d, d)
 
 
 # ---------------------------------------------------------------------------

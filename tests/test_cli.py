@@ -206,3 +206,15 @@ def test_cross_check_failure_is_a_mismatch(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "mismatch: identity coefficient limits disagree: 0j vs 1j\n"
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["tangle", "--expr", "open P(0,0) | hopf V(1e400)"], id="colour token"),
+    pytest.param(["hopf", "--closed", "V(0.3)", "--beta", "1e400"], id="flag"),
+])
+def test_overflowing_literal_is_usage_error(capsys, argv):
+    """A literal that parses to infinity is refused like nan or inf, with one line."""
+    code, out, err = run(capsys, argv[0], "--r", "3", *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad c") and "1e400" in err and err.count("\n") == 1

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from unrolled_sl2 import deform, tangle
+from unrolled_sl2.jets import Jet
 from unrolled_sl2.qnum import QContext
 from unrolled_sl2.rep import DeformX, Projective, RangeError, Simple, Typical
 from unrolled_sl2.ribbon import get_config, modified_dim
@@ -11,7 +13,7 @@ from unrolled_sl2.tangle import (
     twist_loop_tangle,
 )
 from unrolled_sl2.deform import (
-    dim_limit_check, log_endomorphism, log_hopf, log_hopf_closed,
+    _family, dim_limit_check, log_endomorphism, log_hopf, log_hopf_closed,
     log_tangle_invariant,
 )
 
@@ -191,3 +193,88 @@ def test_word_that_leaves_the_open_strand_alone():
     want = complex(eval_tangle(cfg, loop).matrix[0, 0])
     assert res.a == pytest.approx(want, rel=1e-12) and abs(want) > 0.1
     assert res.b == 0
+
+
+def test_family_cache_is_keyed_by_the_context_value():
+    """Equal contexts built apart share one entry; another tol or jet order
+    gets its own; the cache is bounded above one round's 45 families."""
+    _family.cache_clear()
+    entry = _family(QContext(3), 1, 0)
+    assert _family(QContext(3), 1, 0) is entry
+    assert _family.cache_info().hits == 1
+    assert _family(QContext(3, tol=1e-10), 1, 0) is not entry
+    assert _family(QContext(3, jet_order=7), 1, 0) is not entry
+    assert _family(QContext(3), 1, 1) is not entry
+    info = _family.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 4, 4)
+    assert info.maxsize is not None and info.maxsize >= 45
+
+
+def _arrays(obj):
+    """Every ndarray reachable from obj through tuples, jets and instance dicts."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, Jet):
+        yield obj.c
+    elif isinstance(obj, (tuple, list)):
+        for x in obj:
+            yield from _arrays(x)
+    elif hasattr(obj, "__dict__"):
+        for x in vars(obj).values():
+            yield from _arrays(x)
+
+
+def test_family_entries_are_read_only():
+    """Module arrays, jet coefficients and power stacks of an entry refuse writes,
+    also after the entry served an evaluation."""
+    ctx = QContext(4)
+    log_tangle_invariant(get_config(ctx), hopf_tangle(Projective(1, -1), Simple(2, 1)))
+    entry = _family(ctx, 1, -1)
+    mod = entry[0]
+    arrays = list(_arrays(entry))
+    # E, F, K, K^-1, H, the weights, the label's alpha, the two power stacks
+    # (each beside its generator) and three scalar jets
+    assert len(arrays) == 14
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        mod.E.c[0, 0, 0, 1] = 0
+    with pytest.raises(ValueError):
+        mod.powers("E").c[...] = 0
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_family_cache_gives_bit_identical_results(r):
+    """A cold entry, the warm one and a rebuilt one give the same results to the bit."""
+    cfg = get_config(QContext(r))
+    j, l = r - 2, -1
+    exprs = [hopf_tangle(Projective(j, l), z)
+             for z in (Typical(0.37 + 0.11j), Simple(r - 2, 1), Projective(0, 1))]
+    exprs.append(parse_tangle(
+        f"open P({j},{l}) | insert 2 V(0.61-0.2i); tw+ 1; br+ 1; br+ 2; br- 2; tw- 2; "
+        "br- 1; evR 2"))
+    _family.cache_clear()
+    cold = [log_tangle_invariant(cfg, e) for e in exprs]
+    warm = [log_tangle_invariant(cfg, e) for e in exprs]
+    _family.cache_clear()
+    assert cold == warm == [log_tangle_invariant(cfg, e) for e in exprs]
+
+
+def test_warm_family_builds_no_open_module_and_no_dimension(monkeypatch):
+    """On a warm entry only the closed colour's module is built, and no
+    modified dimension is computed; a cold entry builds both."""
+    cfg = get_config(QContext(4))
+    expr = hopf_tangle(Projective(1, 0), Simple(2, 1))
+    built, dims = [], []
+    for mod in (deform, tangle):
+        make = mod.make_module
+        monkeypatch.setattr(mod, "make_module",
+                            lambda ctx, lab, make=make: built.append(lab) or make(ctx, lab))
+    dim = deform.modified_dim
+    monkeypatch.setattr(deform, "modified_dim", lambda ctx, lab: dims.append(lab) or dim(ctx, lab))
+    _family.cache_clear()
+    log_tangle_invariant(cfg, expr)
+    assert len(built) == 2 and len(dims) == 2
+    built.clear()
+    dims.clear()
+    log_tangle_invariant(cfg, expr)
+    assert built == [Simple(2, 1)] and dims == []

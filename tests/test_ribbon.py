@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from unrolled_sl2 import rep
 from unrolled_sl2.jets import Jet
 from unrolled_sl2.qnum import QContext, qpow
 from unrolled_sl2.rep import (
-    DeformX, LinearMap, OneDim, Projective, SelfExt, Simple, Typical, direct_sum, dual,
-    hom_space, make_deformable, make_module, tensor,
+    DeformX, LinearMap, OneDim, Projective, SelfExt, Simple, Typical, _stack, direct_sum, dual,
+    hom_space, make_deformable, make_module, mat_norm, tensor,
 )
 from unrolled_sl2.ribbon import (
     CalibrationError, NonScalarError, NotProjectiveError, RibbonConfig,
@@ -16,7 +17,7 @@ from unrolled_sl2.ribbon import (
     twist_matrix,
 )
 from unrolled_sl2.tangle import (
-    Braid, Coev, Ev, Insert, TangleExpr, TwistSlice, eval_tangle, hopf_tangle,
+    Braid, Coev, Ev, Insert, TangleExpr, TwistSlice, eval_tangle, hopf_tangle, parse_tangle,
 )
 
 RS = [2, 3, 4, 5]
@@ -466,3 +467,47 @@ def test_tangle_crossings_match_a_dense_composite(r):
         total = _dense_composite(cfg, v, slices)
         got = eval_tangle(cfg, TangleExpr(Typical(0.43 + 0.12j), slices)).matrix
         assert np.max(np.abs(got - total)) <= 1e-12 * np.max(np.abs(total)), slices
+
+
+@pytest.mark.parametrize("r", RS + [6])
+def test_power_stacks_are_repeated_products(r):
+    """WeightModule.powers stacks a^0..a^(r-1) of E and F by repeated matmuls,
+    on float, jet and batched jet modules; it is built once, read-only, and
+    rebuilt when the generator is replaced."""
+    ctx = QContext(r)
+    e = ctx.eps()
+    mods = [make_module(ctx, Typical(0.37 - 0.21j)), make_module(ctx, Projective(r - 2, 1)),
+            make_module(ctx, Typical(0.4 + e)),
+            make_module(ctx, Typical(_stack((0.4 + e, -1.13 + 0.4j + e))))]
+    for m in mods:
+        for gen in ("E", "F"):
+            a, stack = getattr(m, gen), m.powers(gen)
+            assert m.powers(gen) is stack
+            assert not (stack.c if isinstance(stack, Jet) else stack).flags.writeable
+            assert stack.shape == (*a.shape[:-2], r, m.dim, m.dim)
+            want = np.eye(m.dim, dtype=complex)
+            for n in range(r):
+                assert mat_norm(stack[..., n, :, :] - want) <= 1e-13 * max(1.0, mat_norm(want))
+                want = want @ a
+    m = mods[0]
+    stack = m.powers("E")
+    m.E = 2 * m.E
+    assert np.allclose(m.powers("E")[1], m.E) and not np.allclose(stack[1], m.E)
+
+
+def test_eval_tangle_builds_each_module_s_powers_once(monkeypatch):
+    """A 10-crossing braid word with a twist of the open strand builds the E
+    and F stacks of each of its three modules (the batched open one, the
+    closed colour and its dual) once, not once per gate."""
+    ctx = QContext(4)
+    cfg = get_config(ctx)
+    e = ctx.eps()
+    expr = parse_tangle("open V(0.3) | insert 2 V(0.61-0.2i); br+ 1; br+ 2; br+ 2; br- 1; "
+                        "br+ 1; br- 2; br+ 2; br- 1; br+ 2; br- 2; tw- 1; evR 2")
+    assert sum(isinstance(s, Braid) for s in expr.slices) == 10
+    built, powers = [], rep._powers
+    monkeypatch.setattr(rep, "_powers", lambda a, n: built.append(a) or powers(a, n))
+    open_module = make_module(ctx, Typical(_stack((0.3 + e, -0.8 + e))))
+    eval_tangle(cfg, expr, open_module=open_module)
+    assert 0 < len(built) <= 2 * 3
+    assert all(a is not b for i, a in enumerate(built) for b in built[:i])
