@@ -15,7 +15,8 @@ Each identity-coefficient limit is floored at the round-off of its own
 summand's eps^0 contraction.
 
 What the family fixes is built once per context and cover: _family(ctx, i,
-l) holds the batched open module (with its stacks of E and F powers), the
+l) holds the batched open module (its E, F and weights, from which rep
+derives H and K when asked, and its stacks of E and F powers), the
 modified dimensions d(lambda- + eps) and d(lambda+ + eps), and the
 reciprocal of [1+i][eps].  It is an lru_cache keyed by the frozen context's
 value and the two indices, bounded at 128 entries (one round over r = 2..6,
@@ -88,7 +89,7 @@ def _family(ctx: QContext, i: int, l: int):
     mod = make_module(ctx, Typical(_stack((lam_m, lam_p))))
     entry = (mod, modified_dim(ctx, Typical(lam_m)), modified_dim(ctx, Typical(lam_p)),
              (qint(ctx, 1 + i) * qint(ctx, e)).reciprocal())
-    for a in (mod.E, mod.F, mod.K, mod.Kinv, mod.H, mod.weights, mod.label.alpha, *entry[1:]):
+    for a in (mod.E, mod.F, mod.weights, mod.label.alpha, *entry[1:]):
         _read_only(a)
     for gen in "EF":  # the power stacks too, built read-only with the entry
         mod.powers(gen)

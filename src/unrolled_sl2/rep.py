@@ -8,10 +8,10 @@ the projective cover), the projective covers themselves, and the
 non-semisimple self-extension of a generic module.  Tensor products, duals,
 direct sums, a relation verifier, an intertwiner-space solver, and the
 explicit eps != 0 change of basis onto the two-summand decomposition
-complete the toolbox.  The H-weights are one vector w (a complex array, or
-a vector jet on the deformation path), and H = diag(w), K = diag(q^w) and
-K^-1 = diag(q^-w) are built from it; only the self-extension adds a Jordan
-part to them.  A generic module may carry a batch of weights (Typical of an
+complete the toolbox.  A module is immutable: E, F, the H-weights w (a
+complex array, or a vector jet on the deformation path) and the nilpotent
+part N of H, from which H, K and K^-1 are derived (see WeightModule); w is
+refused beyond double-precision q-powers.  A generic module may carry a batch of weights (Typical of an
 array or a vector jet of shape B): its weights, E, H, K and K^-1 then have
 B as leading axes.
 """
@@ -19,7 +19,7 @@ B as leading axes.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
@@ -40,7 +40,7 @@ __all__ = [
 
 
 class RangeError(ValueError):
-    """A module-label index is outside its legal range."""
+    """A module-label index, or a module weight, is outside its legal range."""
 
 
 class SingularError(ArithmeticError):
@@ -183,32 +183,53 @@ def parse_complex(text: str) -> complex:
 # module container
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class WeightModule:
-    """Matrices for the generator action plus the (generalized) H-weight vector."""
+    """E, F, the H-weights w and the nilpotent part N of H (jordan: None but
+    on the self-extension and the tensors, sums and duals built from it).
+    H = diag(w) + N and K^(+-1) = diag(q^(+-w)) exp(+-(i pi / r) N) are
+    derived on each read; N joins equal weights, so it commutes with diag(w).
+    """
 
     ctx: QContext
     label: object
-    dim: int
     E: object
     F: object
-    K: object
-    Kinv: object
-    H: object
     weights: object
+    jordan: object = None
+
+    @property
+    def dim(self) -> int:
+        return self.weights.shape[-1]
+
+    @property
+    def H(self):
+        h = _diag(self.weights)
+        return h if self.jordan is None else h + self.jordan
+
+    K = property(lambda self: self._qpow_h(1))
+    Kinv = property(lambda self: self._qpow_h(-1))
+
+    def _qpow_h(self, sign: int):
+        """q^(sign H): the diagonal part's q-powers times exp(sign (i pi / r) N)."""
+        k = _diag(qpow(self.ctx, self.weights if sign > 0 else -self.weights))
+        if self.jordan is None:
+            return k
+        from scipy.linalg import expm
+        return k @ expm(sign * 1j * np.pi / self.ctx.r * self.jordan)
 
     @property
     def is_jet(self) -> bool:
-        return isinstance(self.E, Jet) or isinstance(self.K, Jet)
+        return isinstance(self.weights, Jet)
 
     def powers(self, gen: str):
         """gen^0, ..., gen^(r-1) of the generator gen ("E" or "F"), stacked on
-        axis -3 as _powers stacks them.  Built on first use and kept, read-only,
-        for as long as the generator is the same object."""
-        a, memo = getattr(self, gen), self.__dict__.get("_powers_" + gen)
-        if memo is None or memo[0] is not a:
-            memo = self.__dict__["_powers_" + gen] = (a, _read_only(_powers(a, self.ctx.r)))
-        return memo[1]
+        axis -3 as _powers stacks them.  Built on first use and kept, read-only."""
+        memo = self.__dict__.get("_powers_" + gen)
+        if memo is None:
+            memo = self.__dict__["_powers_" + gen] = _read_only(_powers(getattr(self, gen),
+                                                                        self.ctx.r))
+        return memo
 
     def __repr__(self):
         return f"WeightModule({format_label(self.label)}, r={self.ctx.r}, dim={self.dim})"
@@ -331,9 +352,7 @@ def make_module(ctx: QContext, label) -> WeightModule:
     if isinstance(label, OneDim):
         return _make_onedim(ctx, label.k)
     if isinstance(label, Projective):
-        m = make_deformable(ctx, label.i, label.k, 0.0)
-        m.label = label
-        return m
+        return replace(make_deformable(ctx, label.i, label.k, 0.0), label=label)
     if isinstance(label, SelfExt):
         return _make_selfext(ctx, label.lam)
     if isinstance(label, DeformX):
@@ -358,10 +377,9 @@ def _make_typical(ctx: QContext, alpha) -> WeightModule:
         alpha = np.asarray(alpha, dtype=complex)
         label = alpha if alpha.ndim else complex(alpha)
     a = alpha[..., None]
-    return _from_weights(ctx, Typical(label),
-                         a + np.arange(r - 1, -r, -2),
-                         _diag(qint(ctx, k) * qint(ctx, k - a), 1),
-                         np.eye(r, k=-1, dtype=complex))
+    return _from_weights(ctx, Typical(label), a + np.arange(r - 1, -r, -2),
+                         lambda: (_diag(qint(ctx, k) * qint(ctx, k - a), 1),
+                                  np.eye(r, k=-1, dtype=complex)))
 
 
 def _make_simple(ctx: QContext, i: int, k: int) -> WeightModule:
@@ -374,21 +392,29 @@ def _make_simple(ctx: QContext, i: int, k: int) -> WeightModule:
     e = [(j - 1, j, (-1) ** k * qint(ctx, j) * qint(ctx, i + 1 - j)) for j in range(1, dim)]
     f = [(j + 1, j, 1.0) for j in range(dim - 1)]
     return _from_weights(ctx, Simple(i, k), i + k * r - 2 * np.arange(dim),
-                         _assemble(dim, e), _assemble(dim, f))
+                         lambda: (_assemble(dim, e), _assemble(dim, f)))
 
 
 def _make_onedim(ctx: QContext, k: int) -> WeightModule:
     return _from_weights(ctx, OneDim(k), [k * ctx.r],
-                         np.zeros((1, 1), dtype=complex), np.zeros((1, 1), dtype=complex))
+                         lambda: (np.zeros((1, 1), dtype=complex),) * 2)
 
 
-def _from_weights(ctx, label, weights, E, F) -> WeightModule:
-    """Module with the given E and F, and H, K, K^-1 from the weights."""
+def _from_weights(ctx, label, weights, gens, jordan=None) -> WeightModule:
+    """Module with the given weights, Jordan part of H, and (E, F) = gens().
+
+    RangeError when a weight (on a jet, its eps^0 slice) is beyond what a
+    double can put through q^x: |Re w| >= 2^52 leaves no fractional bits,
+    and pi |Im w| / r >= 709 overflows q^(+-w).  gens is called after this
+    check, so no q-number of such a weight is ever computed.
+    """
     if not isinstance(weights, Jet):
         weights = np.asarray(weights, dtype=complex)
-    return WeightModule(ctx, label, weights.shape[-1], E, F,
-                        _diag(qpow(ctx, weights)), _diag(qpow(ctx, -weights)),
-                        _diag(weights), weights)
+    w0 = weights.c[0] if isinstance(weights, Jet) else weights  # a weight jet has valuation 0
+    if not (np.abs(w0.real).max() < 2.0 ** 52 and np.pi / ctx.r * np.abs(w0.imag).max() < 709):
+        raise RangeError("weights must have |Re w| < 2^52 and |Im w| < 709 r / pi, "
+                         "or q^w is lost to double precision")
+    return WeightModule(ctx, label, *gens(), weights, jordan)
 
 
 def _make_selfext(ctx: QContext, lam) -> WeightModule:
@@ -407,23 +433,22 @@ def _make_selfext(ctx: QContext, lam) -> WeightModule:
         return ipir / br1 * sum(qpow(ctx, lp - 2 * (j - 1)) + qpow(ctx, 2 * (j - 1) - lp)
                                 for j in range(1, i + 1))
 
-    e, f = [], []
-    for i in range(r):
-        if i >= 1:
-            c = qint(ctx, i) * qint(ctx, lp + 1 - i)
-            e.append((i - 1, i, c))
-            e.append((r + i - 1, r + i, c))
-            e.append((r + i - 1, i, beta(i)))
-        if i <= r - 2:
-            f.append((i + 1, i, 1.0))
-            f.append((r + i + 1, r + i, 1.0))
-    m = _from_weights(ctx, SelfExt(complex(lam)), np.tile(lp - 2 * np.arange(r), 2),
-                      _assemble(2 * r, e), _assemble(2 * r, f))
-    t = np.arange(r)
-    m.H[r + t, t] = 1.0                       # Jordan step N on the plain copy
-    m.K[r + t, t] = ipir * m.K[t, t]          # q^H = q^D (1 + (i pi / r) N)
-    m.Kinv[r + t, t] = -ipir * m.Kinv[t, t]
-    return m
+    def gens():
+        e, f = [], []
+        for i in range(r):
+            if i >= 1:
+                c = qint(ctx, i) * qint(ctx, lp + 1 - i)
+                e.append((i - 1, i, c))
+                e.append((r + i - 1, r + i, c))
+                e.append((r + i - 1, i, beta(i)))
+            if i <= r - 2:
+                f.append((i + 1, i, 1.0))
+                f.append((r + i + 1, r + i, 1.0))
+        return _assemble(2 * r, e), _assemble(2 * r, f)
+
+    # H has the Jordan step N: v0_j -> v1_j, from the plain copy to the submodule
+    return _from_weights(ctx, SelfExt(complex(lam)), np.tile(lp - 2 * np.arange(r), 2),
+                         gens, np.eye(2 * r, k=-r))
 
 
 def make_deformable(ctx: QContext, i: int, l: int, eps) -> WeightModule:
@@ -490,7 +515,7 @@ def make_deformable(ctx: QContext, i: int, l: int, eps) -> WeightModule:
     ks = np.concatenate([np.arange(i + 2 - 2 * r, -i - 1, 2), np.arange(-i, i + 1, 2),
                          np.arange(-i, i + 1, 2), np.arange(i + 2, 2 * r - 1 - i, 2)])
     return _from_weights(ctx, DeformX(i, l, eps), ks + l * r + eps,
-                         _assemble(2 * r, e), _assemble(2 * r, f))
+                         lambda: (_assemble(2 * r, e), _assemble(2 * r, f)))
 
 
 # ---------------------------------------------------------------------------
@@ -507,15 +532,18 @@ def tensor(m: WeightModule, n: WeightModule) -> WeightModule:
         raise TypeError("tensor expects numeric modules")
     if m.ctx.r != n.ctx.r:
         raise ValueError("tensor factors must share a context")
-    dim = m.dim * n.dim
     Im, In = np.eye(m.dim), np.eye(n.dim)
     E = np.kron(Im, n.E) + np.kron(m.E, n.K)
     F = np.kron(m.Kinv, n.F) + np.kron(m.F, In)
-    K = np.kron(m.K, n.K)
-    Kinv = np.kron(m.Kinv, n.Kinv)
-    H = np.kron(m.H, In) + np.kron(Im, n.H)
     weights = (m.weights[:, None] + n.weights[None, :]).reshape(-1)
-    return WeightModule(m.ctx, Tensor(m.label, n.label), dim, E, F, K, Kinv, H, weights)
+    jordan = (None if m.jordan is None and n.jordan is None
+              else np.kron(_or_zero(m), In) + np.kron(Im, _or_zero(n)))
+    return WeightModule(m.ctx, Tensor(m.label, n.label), E, F, weights, jordan)
+
+
+def _or_zero(m: WeightModule):
+    """The Jordan part of H, or a zero matrix where there is none."""
+    return np.zeros((m.dim, m.dim)) if m.jordan is None else m.jordan
 
 
 def dual(m: WeightModule) -> WeightModule:
@@ -524,11 +552,8 @@ def dual(m: WeightModule) -> WeightModule:
     T = lambda a: a.swapaxes(-1, -2)
     E = -1 * T(m.E @ m.Kinv)
     F = -1 * T(m.K @ m.F)
-    K = T(m.Kinv)
-    Kinv = T(m.K)
-    H = -1 * T(m.H)
-    weights = -m.weights
-    return WeightModule(m.ctx, Dual(m.label), m.dim, E, F, K, Kinv, H, weights)
+    jordan = None if m.jordan is None else -T(m.jordan)
+    return WeightModule(m.ctx, Dual(m.label), E, F, -m.weights, jordan)
 
 
 def direct_sum(*mods: WeightModule) -> WeightModule:
@@ -538,9 +563,11 @@ def direct_sum(*mods: WeightModule) -> WeightModule:
     if any(m.is_jet for m in mods):
         raise TypeError("direct_sum expects numeric modules")
     from scipy.linalg import block_diag
-    gens = [block_diag(*[getattr(m, g) for m in mods]) for g in ("E", "F", "K", "Kinv", "H")]
-    return WeightModule(mods[0].ctx, Sum(tuple(m.label for m in mods)), sum(m.dim for m in mods),
-                        *gens, np.concatenate([m.weights for m in mods]))
+    jordan = (None if all(m.jordan is None for m in mods)
+              else block_diag(*[_or_zero(m) for m in mods]))
+    return WeightModule(mods[0].ctx, Sum(tuple(m.label for m in mods)),
+                        block_diag(*[m.E for m in mods]), block_diag(*[m.F for m in mods]),
+                        np.concatenate([m.weights for m in mods]), jordan)
 
 
 # ---------------------------------------------------------------------------
@@ -587,20 +614,14 @@ def verify_relations(m: WeightModule) -> RelationReport:
     res["E^r=0"] = mat_norm(Ep) / scaleE
     res["F^r=0"] = mat_norm(Fp) / scaleF
     res["K Kinv=1"] = _rel_residual([K @ Ki, -1 * I])
-    res["q^H=K"] = _qh_equals_k_residual(m)
-    failed = [name for name, v in res.items() if v > ctx.tol]
-    return RelationReport(max(res.values()), failed, res)
-
-
-def _qh_equals_k_residual(m: WeightModule) -> float:
-    ctx = m.ctx
-    H = m.H
-    if isinstance(H, Jet) or np.max(np.abs(H - np.diag(np.diag(H)))) < 1e-14:
+    if m.jordan is None:
         qh = _diag(qpow(ctx, m.weights))  # H = diag(weights); jet modules always have it
     else:
         from scipy.linalg import expm
         qh = expm(1j * np.pi / ctx.r * H)
-    return _rel_residual([qh, -1 * m.K])
+    res["q^H=K"] = _rel_residual([qh, -1 * K])
+    failed = [name for name, v in res.items() if v > ctx.tol]
+    return RelationReport(max(res.values()), failed, res)
 
 
 # ---------------------------------------------------------------------------
@@ -620,34 +641,26 @@ def hom_space(m: WeightModule, n: WeightModule, wtol: float = 1e-8):
     if m.ctx.r != n.ctx.r:
         raise ValueError("modules from different contexts")
     wm, wn = m.weights, n.weights
-    cand = [(a, b) for a in range(n.dim) for b in range(m.dim)
-            if abs(wn[a] - wm[b]) < wtol]
-    if not cand:
+    # weight-matched entries (a, b) of A, as indices a * m.dim + b of A.ravel()
+    cand = np.flatnonzero(np.abs(wn[:, None] - wm[None, :]) < wtol)
+    if not cand.size:
         return []
-    ncand = len(cand)
-    gens = [(np.asarray(n.E), np.asarray(m.E)), (np.asarray(n.F), np.asarray(m.F)),
-            (np.asarray(n.H), np.asarray(m.H)), (np.asarray(n.K), np.asarray(m.K))]
-    rows = []
-    for gn, gm in gens:
-        block = np.zeros((n.dim * m.dim, ncand), dtype=complex)
-        for c, (a, b) in enumerate(cand):
-            # A -> gn A - A gm, entry (p, q)
-            block[a * m.dim: a * m.dim + m.dim, c] -= gm[b, :]
-            block[np.arange(n.dim) * m.dim + b, c] += gn[:, a]
-        rows.append(block)
-    S = np.vstack(rows)
+    In, Im = np.eye(n.dim), np.eye(m.dim)
+    # A -> gn A - A gm on the row-major A.ravel() is kron(gn, 1) - kron(1, gm^T)
+    S = np.vstack([(np.kron(gn, Im) - np.kron(In, gm.T))[:, cand]
+                   for gn, gm in ((n.E, m.E), (n.F, m.F), (n.H, m.H), (n.K, m.K))])
     u, sv, vh = np.linalg.svd(S, full_matrices=True)
     smax = sv[0] if len(sv) else 0.0
     cut = m.ctx.tol * max(smax, 1.0)
     rank = int(np.sum(sv > cut))
-    null = vh[rank:].conj().T  # (ncand, dnull)
+    null = vh[rank:].conj().T  # (len(cand), dnull)
     dnull = null.shape[1]
     if dnull == 0:
         return []
     proj = null @ null.conj().T
-    order = sorted(range(ncand),
-                   key=lambda c: (round(wn[cand[c][0]].real, 6),
-                                  round(wn[cand[c][0]].imag, 6), cand[c]))
+    rows = cand // m.dim
+    order = sorted(range(cand.size),
+                   key=lambda c: (round(wn[rows[c]].real, 6), round(wn[rows[c]].imag, 6), cand[c]))
     basis = []
     for c in order:
         v = proj[:, c].copy()
@@ -664,8 +677,7 @@ def hom_space(m: WeightModule, n: WeightModule, wtol: float = 1e-8):
     maps = []
     for v in basis:
         A = np.zeros((n.dim, m.dim), dtype=complex)
-        for c, (a, b) in enumerate(cand):
-            A[a, b] = v[c]
+        A.ravel()[cand] = v
         maps.append(LinearMap(m, n, A))
     return maps
 

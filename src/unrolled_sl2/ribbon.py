@@ -19,7 +19,8 @@ theta^s = sum_(n<r) c_n X^n K^(1-r) Y^n q^(s H (H + 2sn) / 2), with c_n the
 tail's coefficients and (X, Y) = (F, E) or (E, F), because E^n and F^n shift
 weights by exactly +-2n; it is one matmul over the stacked powers.  The pivot
 and the Cartan factor are each one qpow of weight vectors, so ribbon maps
-take modules with diagonal H and refuse the self-extension with
+take modules whose H has no Jordan part (WeightModule.jordan is None) and
+refuse the self-extension, and what is built from it, with
 NotProjectiveError.  Every map has one code path for float and jet
 matrices: jets index, reshape and transpose like arrays, and multiply
 float operands without promoting them.  The tail and the twist read the
@@ -96,15 +97,10 @@ class RibbonConfig:
         return 1 - self.ctx.r
 
 
-_CONFIG_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def get_config(ctx: QContext) -> RibbonConfig:
-    """Checked configuration for this context (calibrated once and cached)."""
-    key = (ctx.r, ctx.tol, ctx.jet_order)
-    if key not in _CONFIG_CACHE:
-        _CONFIG_CACHE[key] = calibrate(ctx)
-    return _CONFIG_CACHE[key]
+    """Checked configuration for this context (calibrated once per context value)."""
+    return calibrate(ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +110,7 @@ def get_config(ctx: QContext) -> RibbonConfig:
 def _weights(m: WeightModule):
     """The weight vector, whose q-powers give the pivot and the Cartan factor;
     NotProjectiveError when H has a Jordan part (the self-extension)."""
-    H = m.H
-    if not isinstance(H, Jet) and np.count_nonzero(H) > np.count_nonzero(
-            np.diagonal(H, axis1=-2, axis2=-1)):
+    if m.jordan is not None:
         raise NotProjectiveError(f"ribbon maps need a diagonal H; {m.label} has a Jordan part")
     return m.weights
 

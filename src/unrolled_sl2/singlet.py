@@ -16,8 +16,8 @@ tangle engine (continuous regime) or the deformation limit (strips).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
@@ -377,9 +377,7 @@ def compare_hopf_qdim(cfg: RibbonConfig, x, color, eps: complex) -> CompareRepor
             raise RegimeError(
                 f"color weight {color.alpha} does not match -i sqrt(2r) eps = {alpha}")
         num = renormalized_invariant(cfg, hopf_tangle(Typical(alpha), x))
-        unit = _memo(_UNIT_TRACE_CACHE, (ctx, alpha), lambda: renormalized_invariant(
-            cfg, hopf_tangle(Typical(alpha), Simple(0, 0))))
-        rhs = num / unit
+        rhs = num / _unit_trace(ctx, alpha)
     else:
         if not isinstance(color, Projective):
             raise RegimeError("strip comparison needs a projective-cover color")
@@ -389,7 +387,7 @@ def compare_hopf_qdim(cfg: RibbonConfig, x, color, eps: complex) -> CompareRepor
         if n_got != n_req:
             raise RegimeError(
                 f"eps lies in strip index {n_got}, but color {color} prescribes {n_req}")
-        rhs = _hopf_identity_coeff(cfg, color, x) / _hopf_identity_coeff(cfg, color, Simple(0, 0))
+        rhs = _hopf_identity_coeff(ctx, color, x) / _hopf_identity_coeff(ctx, color, Simple(0, 0))
     lhs = phi_dictionary(ctx, x)
     lhs_val = qdim_reg(ctx, lhs, eps)
     return CompareReport(complex(lhs_val), complex(rhs), abs(lhs_val - rhs), reg)
@@ -397,26 +395,16 @@ def compare_hopf_qdim(cfg: RibbonConfig, x, color, eps: complex) -> CompareRepor
 
 # Memos of eps-independent comparison data, keyed by value (never by id()):
 # the context, which fixes the ribbon convention, and the labels.
-_MEMO_SIZE = 1024
-_UNIT_TRACE_CACHE: OrderedDict = OrderedDict()
-_HOPF_A_CACHE: OrderedDict = OrderedDict()
+@lru_cache(maxsize=1024)
+def _unit_trace(ctx: QContext, alpha: complex) -> complex:
+    """Modified trace of the open Hopf link hopf(Typical(alpha), S(0, 0))."""
+    return renormalized_invariant(RibbonConfig(ctx), hopf_tangle(Typical(alpha), Simple(0, 0)))
 
 
-def _memo(cache: OrderedDict, key, compute):
-    """Least-recently-used lookup bounded at _MEMO_SIZE entries."""
-    if key in cache:
-        cache.move_to_end(key)
-        return cache[key]
-    value = cache[key] = compute()
-    if len(cache) > _MEMO_SIZE:
-        cache.popitem(last=False)
-    return value
-
-
-def _hopf_identity_coeff(cfg: RibbonConfig, color, x) -> complex:
+@lru_cache(maxsize=1024)
+def _hopf_identity_coeff(ctx: QContext, color, x) -> complex:
     """Identity coefficient a of the open Hopf link hopf(color, x); independent of eps."""
-    return _memo(_HOPF_A_CACHE, (cfg.ctx, color, x),
-                 lambda: log_tangle_invariant(cfg, hopf_tangle(color, x)).a)
+    return log_tangle_invariant(RibbonConfig(ctx), hopf_tangle(color, x)).a
 
 
 @dataclass

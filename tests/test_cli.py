@@ -1,9 +1,14 @@
 """CLI subcommands: exit codes, schema, determinism, example values."""
 
 import json
+import os
+import subprocess
+import sys
+import warnings
 
 import pytest
 
+import unrolled_sl2
 from unrolled_sl2.cli import main
 
 
@@ -178,6 +183,31 @@ def test_closed_color_without_closed_form_is_usage_error(capsys, argv):
     assert out == ""
     assert err.startswith("error: no closed") and err.count("\n") == 1
 
+
+
+@pytest.mark.parametrize("argv", [
+    ["tangle", "--expr", "open P(0,0) | hopf V(1e300)"],
+    ["tangle", "--expr", "open P(0,0) | hopf V(0.3+1000i)"],
+    ["hopf", "--closed", "V(0.3+1000i)", "--beta", "0.3"],
+])
+def test_weight_beyond_double_precision_is_usage_error(capsys, argv):
+    """A weight whose q-power a double cannot hold is refused, without
+    overflow warnings, a traceback or a wrong invariant."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv[0], "--r", "3", *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: weights must have") and err.count("\n") == 1
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy is imported only where expm or block_diag is called: a module-level
+    import would add its load time to every CLI call."""
+    src = os.path.dirname(os.path.dirname(unrolled_sl2.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, unrolled_sl2.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 def test_alpha_overrides_only_a_generic_closed_color(capsys):
     code, out, err = run(capsys, "hopf", "--r", "3", "--closed", "S(1,0)", "--beta", "0.7",

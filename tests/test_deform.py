@@ -232,9 +232,9 @@ def test_family_entries_are_read_only():
     entry = _family(ctx, 1, -1)
     mod = entry[0]
     arrays = list(_arrays(entry))
-    # E, F, K, K^-1, H, the weights, the label's alpha, the two power stacks
-    # (each beside its generator) and three scalar jets
-    assert len(arrays) == 14
+    # E, F, the weights, the label's alpha, the two power stacks and three
+    # scalar jets
+    assert len(arrays) == 9
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
         mod.E.c[0, 0, 0, 1] = 0

@@ -1,12 +1,16 @@
 """Module constructors, relations, tensor/dual, intertwiner spaces, decomposition."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import block_diag, expm
 
 from unrolled_sl2.jets import Jet
 from unrolled_sl2.qnum import QContext, qpow
 from unrolled_sl2.rep import (
-    OneDim, Projective, RangeError, SelfExt, Simple, SingularError,
+    DeformX, Dual, OneDim, Projective, RangeError, SelfExt, Simple, SingularError,
     Typical, deformable_change_of_basis, direct_sum, dual,
     hom_space, intertwiner_residual, make_deformable, make_module, mat_limit,
     module_dump, tensor, verify_relations,
@@ -198,7 +202,7 @@ def test_negative_control_perturbed_module():
     m = make_module(ctx, Typical(0.9))
     E = np.asarray(m.E).copy()
     E[0, 1] += 1e-3
-    m.E = E
+    m = dataclasses.replace(m, E=E)
     rep = verify_relations(m)
     assert any("[E,F]" in name for name in rep.failed)
 
@@ -214,6 +218,86 @@ def test_direct_sum_and_dump():
     assert d["dim"] == 4 and d["r"] == 2
     assert len(d["E"]) == 4 and len(d["E"][0]) == 4 and len(d["E"][0][0]) == 2
 
+
+
+def _textbook_H(r: int, label) -> np.ndarray:
+    """H of a primitive module from its published weights, plus the
+    self-extension's Jordan step v0_j -> v1_j."""
+    if isinstance(label, Typical):
+        return np.diag(label.alpha + r - 1 - 2 * np.arange(r))
+    if isinstance(label, Simple):
+        return np.diag(label.i + label.k * r - 2.0 * np.arange(label.i + 1))
+    if isinstance(label, OneDim):
+        return np.array([[label.k * r]], dtype=complex)
+    if isinstance(label, (Projective, DeformX)):
+        i, l = label.i, label.k if isinstance(label, Projective) else label.l
+        eps = 0 if isinstance(label, Projective) else label.eps
+        blocks = [range(i + 2 - 2 * r, -i - 1, 2), range(-i, i + 1, 2), range(-i, i + 1, 2),
+                  range(i + 2, 2 * r - 1 - i, 2)]  # L, H, S, R
+        return np.diag([k + l * r + eps for b in blocks for k in b]).astype(complex)
+    if isinstance(label, SelfExt):
+        top = label.lam + r - 1 - 2 * np.arange(r)
+        return np.diag(np.concatenate([top, top])) + np.eye(2 * r, k=-r)
+    raise TypeError(label)
+
+
+@pytest.mark.parametrize("r", RS)
+def test_derived_cartan_data_against_textbook_H(r):
+    """H, K = q^H and K^-1 = q^-H of every constructor, tensors, duals and
+    sums (those of the self-extension too, where the Jordan part of a tensor
+    square has N^2 != 0), against expm(+-i pi H / r) of the textbook H."""
+    ctx = QContext(r)
+    ext, v = SelfExt(0.3 - 0.2j), Typical(0.41 + 0.13j)
+    H = {lab: _textbook_H(r, lab) for lab in
+         (v, Simple(r - 2, -1), OneDim(2), Projective(0, 1), Projective(r - 2, -1),
+          DeformX(r - 2, 0, 0.27), ext)}
+    cases = [(make_module(ctx, lab), h) for lab, h in H.items()]
+    I = np.eye(2 * r)
+    square = tensor(make_module(ctx, ext), make_module(ctx, ext))
+    assert np.any(np.linalg.matrix_power(square.jordan, 2))
+    cases += [(square, np.kron(H[ext], I) + np.kron(I, H[ext])),
+              (dual(make_module(ctx, ext)), -H[ext].T),
+              (direct_sum(make_module(ctx, ext), make_module(ctx, v)), block_diag(H[ext], H[v]))]
+    for m, h in cases:
+        assert m.dim == len(h)
+        for got, want in ((m.H, h), (m.K, expm(1j * np.pi / r * h)),
+                          (m.Kinv, expm(-1j * np.pi / r * h))):
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), m
+    alphas = np.array([0.37, -1.2 + 0.4j])
+    batch = make_module(ctx, Typical(alphas))
+    assert batch.dim == r and batch.H.shape == batch.K.shape == batch.Kinv.shape == (2, r, r)
+    for t, a in enumerate(alphas):
+        h = _textbook_H(r, Typical(a))
+        assert np.max(np.abs(batch.H[t] - h)) <= 1e-14 * np.max(np.abs(h))
+        for got, sign in ((batch.K[t], 1), (batch.Kinv[t], -1)):
+            want = expm(sign * 1j * np.pi / r * h)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_modules_are_immutable():
+    m = make_module(QContext(3), Typical(0.4))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.E = 2 * m.E
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.label = Typical(0.5)
+
+
+def test_weights_beyond_double_precision_are_refused():
+    """|Re w| >= 2^52 or pi |Im w| / r >= 709 raises RangeError before any
+    q-number of the weight is computed, so without an overflow warning."""
+    ctx = QContext(3)
+    e = ctx.eps()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for label in (Typical(1e300), Typical(0.3 + 1000j), Typical(-(2.0 ** 52)),
+                      Typical(np.array([0.3, 0.2 - 700j])), Typical(1e300 + e),
+                      Simple(1, 2 ** 51), OneDim(-(2 ** 51)), SelfExt(0.3 + 1000j),
+                      SelfExt(1e300), Dual(Typical(1e300))):
+            with pytest.raises(RangeError):
+                make_module(ctx, label)
+        # just inside: pi * 600 / 3 < 709, and a large twist at r = 6
+        assert make_module(ctx, Typical(0.3 + 600j)).dim == 3
+        assert verify_relations(make_module(QContext(6), Simple(1, 1000))).max_residual < 1e-9
 
 def test_jet_deformable_relation_residual_per_coefficient():
     ctx = QContext(4)

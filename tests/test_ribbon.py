@@ -1,5 +1,7 @@
 """Ribbon data: calibration, braiding axioms, dualities, modified trace/dimension."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -473,7 +475,7 @@ def test_tangle_crossings_match_a_dense_composite(r):
 def test_power_stacks_are_repeated_products(r):
     """WeightModule.powers stacks a^0..a^(r-1) of E and F by repeated matmuls,
     on float, jet and batched jet modules; it is built once, read-only, and
-    rebuilt when the generator is replaced."""
+    built afresh for a module with a replaced generator."""
     ctx = QContext(r)
     e = ctx.eps()
     mods = [make_module(ctx, Typical(0.37 - 0.21j)), make_module(ctx, Projective(r - 2, 1)),
@@ -489,9 +491,8 @@ def test_power_stacks_are_repeated_products(r):
             for n in range(r):
                 assert mat_norm(stack[..., n, :, :] - want) <= 1e-13 * max(1.0, mat_norm(want))
                 want = want @ a
-    m = mods[0]
-    stack = m.powers("E")
-    m.E = 2 * m.E
+    stack = mods[0].powers("E")
+    m = dataclasses.replace(mods[0], E=2 * mods[0].E)
     assert np.allclose(m.powers("E")[1], m.E) and not np.allclose(stack[1], m.E)
 
 

@@ -1,7 +1,6 @@
 """Regimes, regularized dimensions, fusion, dictionary, comparison engine."""
 
 import dataclasses
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -182,7 +181,7 @@ def test_strip_memo_is_keyed_by_value(monkeypatch):
         return log_tangle_invariant(cfg, expr)
 
     monkeypatch.setattr(singlet, "log_tangle_invariant", counting)
-    monkeypatch.setattr(singlet, "_HOPF_A_CACHE", OrderedDict())
+    singlet._hopf_identity_coeff.cache_clear()
     for order in (6, 4):
         ctx = QContext(r, jet_order=order)
         cfg = get_config(ctx)
