@@ -11,9 +11,9 @@ explicit eps != 0 change of basis onto the two-summand decomposition
 complete the toolbox.  A module is immutable: E, F, the H-weights w (a
 complex array, or a vector jet on the deformation path) and the nilpotent
 part N of H, from which H, K and K^-1 are derived (see WeightModule); w is
-refused beyond double-precision q-powers.  A generic module may carry a batch of weights (Typical of an
-array or a vector jet of shape B): its weights, E, H, K and K^-1 then have
-B as leading axes.
+refused beyond double-precision q-powers.  A generic module may carry a
+batch of weights (Typical of an array or a vector jet of shape B): its
+weights, E, H, K and K^-1 then have B as leading axes.
 """
 
 from __future__ import annotations
@@ -396,8 +396,8 @@ def _make_simple(ctx: QContext, i: int, k: int) -> WeightModule:
 
 
 def _make_onedim(ctx: QContext, k: int) -> WeightModule:
-    return _from_weights(ctx, OneDim(k), [k * ctx.r],
-                         lambda: (np.zeros((1, 1), dtype=complex),) * 2)
+    zero = lambda: np.zeros((1, 1), dtype=complex)
+    return _from_weights(ctx, OneDim(k), [k * ctx.r], lambda: (zero(), zero()))
 
 
 def _from_weights(ctx, label, weights, gens, jordan=None) -> WeightModule:
