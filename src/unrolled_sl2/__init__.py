@@ -7,7 +7,7 @@ from .qnum import QContext, qbracket, qfact, qint, qpow
 from .rep import (
     DeformX, Dual, LinearMap, ModuleLabel, OneDim, Projective, RangeError,
     SelfExt, Simple, SingularError, Sum, Tensor, Typical, WeightModule,
-    deformable_change_of_basis, direct_sum, dual, format_label, hom_space,
+    deformable_change_of_basis, deformable_layout, direct_sum, dual, format_label, hom_space,
     intertwiner_residual, make_deformable, make_module, module_dump, parse_complex,
     tensor, verify_relations,
 )
@@ -32,7 +32,7 @@ from .singlet import (
     RegimeError, Regularization, VACUUM, VerlindeReport, alpha_minus,
     alpha_plus, alpha_ts, alpha_zero, b_threshold, compare_hopf_qdim, fuse,
     parse_singlet_label, phi_dictionary,
-    phi_inverse, qdim_reg, regime_of, strip_eps, verlinde_hom_check,
+    phi_inverse, projective_strip, qdim_reg, regime_of, strip_eps, verlinde_hom_check,
 )
 
 __version__ = "0.1.0"

@@ -25,8 +25,8 @@ from .ribbon import (
     modified_trace, scalar_of,
 )
 from .singlet import (
-    BoundaryError, DomainError, RegimeError, compare_hopf_qdim, fuse,
-    parse_singlet_label, qdim_reg, regime_of, format_singlet_label,
+    BoundaryError, DomainError, RegimeError, compare_hopf_qdim, format_singlet_label, fuse,
+    parse_singlet_label, projective_strip, qdim_reg, regime_of, strip_eps,
 )
 from .tangle import eval_tangle, hopf_tangle, parse_color, parse_tangle
 from .deform import CrossCheckError, MismatchError, log_hopf_closed, log_tangle_invariant
@@ -191,8 +191,7 @@ def cmd_compare(args) -> int:
         eps = parse_complex(args.eps)
         color = Typical(-1j * np.sqrt(2 * ctx.r) * eps)
     else:
-        n = 2 * ctx.r * args.k + (args.j + 1 + ctx.r * (args.k + 1))
-        eps = complex(args.eps_re, n / np.sqrt(2 * ctx.r))
+        eps = strip_eps(ctx, *projective_strip(ctx, args.j, args.k), re_part=args.eps_re)
         color = Projective(args.j, args.k)
     rep = compare_hopf_qdim(cfg, x, color, eps)
     rel = rep.diff / max(1.0, abs(rep.lhs))

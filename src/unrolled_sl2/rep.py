@@ -6,9 +6,10 @@ jets.  Constructors cover: r-dimensional generic highest-weight modules,
 characters, the 2r-dimensional deformable family (whose eps = 0 member is
 the projective cover), the projective covers themselves, and the
 non-semisimple self-extension of a generic module.  Tensor products, duals,
-direct sums, a relation verifier, an intertwiner-space solver, and the
-explicit eps != 0 change of basis onto the two-summand decomposition
-complete the toolbox.  A module is immutable: E, F, the H-weights w (a
+direct sums, a relation verifier, an intertwiner-space solver (the oracle
+for maps built in closed form), and the explicit eps != 0 change of basis
+onto the two-summand decomposition complete the toolbox.  A module is
+immutable: E, F, the H-weights w (a
 complex array, or a vector jet on the deformation path) and the nilpotent
 part N of H, from which H, K and K^-1 are derived (see WeightModule); w is
 refused beyond double-precision q-powers.  A generic module may carry a
@@ -32,7 +33,7 @@ __all__ = [
     "Typical", "Simple", "OneDim", "Projective", "SelfExt", "DeformX",
     "Tensor", "Sum", "Dual", "ModuleLabel",
     "WeightModule", "LinearMap", "RelationReport",
-    "make_module", "make_deformable", "tensor", "dual", "direct_sum",
+    "make_module", "make_deformable", "deformable_layout", "tensor", "dual", "direct_sum",
     "verify_relations", "hom_space", "deformable_change_of_basis",
     "intertwiner_residual", "module_dump", "format_label", "is_typical_weight",
     "projective_cover", "summand_weights", "parse_complex",
@@ -451,14 +452,24 @@ def _make_selfext(ctx: QContext, lam) -> WeightModule:
                          gens, np.eye(2 * r, k=-r))
 
 
+def deformable_layout(r: int, i: int):
+    """Maps (L, H, S, R) from the weight k of a basis vector w^L_k (k =
+    i+2-2r..-i-2), w^H_k, w^S_k (k = -i..i) or w^R_k (k = i+2..2r-2-i) of
+    the deformable family to its index: L then H fill 0..r-1, S then R fill
+    r..2r-1, each by increasing k.  End(P) = span(Id, x) is read off it."""
+    low = lambda k: r - 1 + (k - i) // 2
+    high = lambda k: r + (k + i) // 2
+    return low, low, high, high
+
+
 def make_deformable(ctx: QContext, i: int, l: int, eps) -> WeightModule:
     """The 2r-dimensional one-parameter family through the projective cover.
 
-    Basis blocks in order: w^L (indices i+2-2r..-i-2 step 2), w^H (-i..i),
-    w^S (-i..i), w^R (i+2..2r-2-i).  eps may be a number in (-1/2, 1/2) or a
-    jet centered at 0; at eps = 0 the action is the projective cover twisted
-    by the weight-lr character.  Sign conventions follow the change-of-basis
-    construction (the one the relation suite accepts).
+    Basis blocks L, H, S, R as deformable_layout orders them.  eps may be a
+    number in (-1/2, 1/2) or a jet centered at 0; at eps = 0 the action is
+    the projective cover twisted by the weight-lr character.  Sign
+    conventions follow the change-of-basis construction (the one the
+    relation suite accepts).
     """
     r = ctx.r
     if not 0 <= i <= r - 2:
@@ -468,11 +479,8 @@ def make_deformable(ctx: QContext, i: int, l: int, eps) -> WeightModule:
         if abs(eps.imag) > 1e-12 or not -0.5 < eps.real < 0.5:
             raise RangeError(f"numeric deformation parameter must lie in (-1/2, 1/2), got {eps}")
     sgn = (-1) ** l
-    nL = r - i - 1
-    Lidx = lambda k: (k - (i + 2 - 2 * r)) // 2
-    Hidx = lambda k: nL + (k + i) // 2
-    Sidx = lambda k: nL + (i + 1) + (k + i) // 2
-    Ridx = lambda k: nL + 2 * (i + 1) + (k - (i + 2)) // 2
+    nL = r - i - 1  # vectors in the L block, and in the R block
+    Lidx, Hidx, Sidx, Ridx = deformable_layout(r, i)
 
     b = qint(ctx, 1 + i) * qint(ctx, eps)
 
@@ -511,9 +519,8 @@ def make_deformable(ctx: QContext, i: int, l: int, eps) -> WeightModule:
         e.append((Lidx(-i - 2 * t), Lidx(-i - 2 - 2 * t),
                   -sgn * qint(ctx, 1 + i + t) * qint(ctx, t - eps)))
 
-    # basis order L, H, S, R; the weight-lr character twists K by q^(lr) = sgn
-    ks = np.concatenate([np.arange(i + 2 - 2 * r, -i - 1, 2), np.arange(-i, i + 1, 2),
-                         np.arange(-i, i + 1, 2), np.arange(i + 2, 2 * r - 1 - i, 2)])
+    # weights of L, H then S, R; the weight-lr character twists K by q^(lr) = sgn
+    ks = np.concatenate([np.arange(i + 2 - 2 * r, i + 1, 2), np.arange(-i, 2 * r - 1 - i, 2)])
     return _from_weights(ctx, DeformX(i, l, eps), ks + l * r + eps,
                          lambda: (_assemble(2 * r, e), _assemble(2 * r, f)))
 
@@ -628,7 +635,10 @@ def verify_relations(m: WeightModule) -> RelationReport:
 # intertwiner spaces
 
 
-def hom_space(m: WeightModule, n: WeightModule, wtol: float = 1e-8):
+_WTOL = 1e-8  # weights closer than this are matched by hom_space
+
+
+def hom_space(m: WeightModule, n: WeightModule):
     """Basis of maps A with A rho_M(g) = rho_N(g) A for g in {E, F, H, K}.
 
     Entries between distinct generalized H-weights vanish, so the linear
@@ -642,14 +652,20 @@ def hom_space(m: WeightModule, n: WeightModule, wtol: float = 1e-8):
         raise ValueError("modules from different contexts")
     wm, wn = m.weights, n.weights
     # weight-matched entries (a, b) of A, as indices a * m.dim + b of A.ravel()
-    cand = np.flatnonzero(np.abs(wn[:, None] - wm[None, :]) < wtol)
+    cand = np.flatnonzero(np.abs(wn[:, None] - wm[None, :]) < _WTOL)
     if not cand.size:
         return []
-    In, Im = np.eye(n.dim), np.eye(m.dim)
-    # A -> gn A - A gm on the row-major A.ravel() is kron(gn, 1) - kron(1, gm^T)
-    S = np.vstack([(np.kron(gn, Im) - np.kron(In, gm.T))[:, cand]
-                   for gn, gm in ((n.E, m.E), (n.F, m.F), (n.H, m.H), (n.K, m.K))])
-    u, sv, vh = np.linalg.svd(S, full_matrices=True)
+    rows, cols = np.divmod(cand, m.dim)
+    t = np.arange(cand.size)
+    # column t: the unit A at entry (rows t, cols t) goes to gn A - A gm, which
+    # is gn's column rows t in column cols t, minus gm's row cols t in row rows t
+    S = np.zeros((4, n.dim, m.dim, cand.size), dtype=complex)
+    for s, gen in zip(S, "EFHK"):
+        s[:, cols, t] = getattr(n, gen)[:, rows]
+        s[rows, :, t] -= getattr(m, gen)[cols, :]
+    S = S.reshape(-1, cand.size)
+    # thin SVD: the system is tall, so vh is square; U is never used
+    _, sv, vh = np.linalg.svd(S, full_matrices=False)
     smax = sv[0] if len(sv) else 0.0
     cut = m.ctx.tol * max(smax, 1.0)
     rank = int(np.sum(sv > cut))
@@ -658,7 +674,6 @@ def hom_space(m: WeightModule, n: WeightModule, wtol: float = 1e-8):
     if dnull == 0:
         return []
     proj = null @ null.conj().T
-    rows = cand // m.dim
     order = sorted(range(cand.size),
                    key=lambda c: (round(wn[rows[c]].real, 6), round(wn[rows[c]].imag, 6), cand[c]))
     basis = []
@@ -684,13 +699,9 @@ def hom_space(m: WeightModule, n: WeightModule, wtol: float = 1e-8):
 
 def intertwiner_residual(lm: LinearMap) -> float:
     """Largest relative residual of A g_source - g_target A over the generators."""
-    worst = 0.0
     A = lm.matrix
-    for gen in ("E", "F", "H", "K"):
-        gs = getattr(lm.source, gen)
-        gt = getattr(lm.target, gen)
-        worst = max(worst, _rel_residual([A @ gs, -1 * (gt @ A)]))
-    return worst
+    return max(_rel_residual([A @ getattr(lm.source, g), -1 * (getattr(lm.target, g) @ A)])
+               for g in ("E", "F", "H", "K"))
 
 
 # ---------------------------------------------------------------------------
@@ -714,27 +725,21 @@ def deformable_change_of_basis(ctx: QContext, i: int, l: int, eps) -> LinearMap:
     b = qint(ctx, 1 + i) * qint(ctx, eps)
     if abs(b) < np.sqrt(ctx.tol):
         raise SingularError(f"[1+i][eps] = {b:.3e} is numerically singular")
-    nL = r - i - 1
-    Ho = nL
-    So = nL + (i + 1)
-    Ro = nL + 2 * (i + 1)
+    Lidx, Hidx, Sidx, Ridx = deformable_layout(r, i)
     B = np.zeros((2 * r, 2 * r), dtype=complex)  # columns: w-basis in (x, y) coords
     for t in range(i + 1):
         # w^H_{i-2t} and w^S_{i-2t} mix x_t with y_{r-1-i+t}
-        colH = Ho + (i - 2 * t + i) // 2
-        colS = So + (i - 2 * t + i) // 2
+        colH, colS = Hidx(i - 2 * t), Sidx(i - 2 * t)
         B[t, colH] = 2.0
         B[r + (r - 1 - i + t), colH] = -1.0 / (2 * b)
         B[t, colS] = -2.0 * b
         B[r + (r - 1 - i + t), colS] = 1.0
-    for t in range(nL):
-        colL = Lcol = (-(i + 2) - 2 * t - (i + 2 - 2 * r)) // 2
-        B[1 + i + t, colL] = 2.0
-        prod = 1.0 + 0j
-        for s in range(t + 1):
-            prod *= qint(ctx, 1 + i + s) * qint(ctx, -s - eps)
-        colR = Ro + t
-        B[r + (r - 2 - i - t), colR] = -prod / (2 * b)
+    prod = 1.0 + 0j
+    for t in range(r - i - 1):
+        # w^L_{-i-2-2t} is x_{1+i+t}; w^R_{i+2+2t} a multiple of y_{r-2-i-t}
+        B[1 + i + t, Lidx(-i - 2 - 2 * t)] = 2.0
+        prod *= qint(ctx, 1 + i + t) * qint(ctx, -t - eps)
+        B[r + (r - 2 - i - t), Ridx(i + 2 + 2 * t)] = -prod / (2 * b)
     lm, lp = summand_weights(ctx, i, l, eps)
     source = direct_sum(make_module(ctx, Typical(lm)), make_module(ctx, Typical(lp)))
     target = make_deformable(ctx, i, l, eps)

@@ -255,9 +255,8 @@ def coev_right(cfg, m: WeightModule):
 
 
 def modified_dim(ctx: QContext, label):
-    """Closed-form modified dimension on the projective ideal; additive on sums."""
-    if isinstance(label, WeightModule):
-        label = label.label
+    """Closed-form modified dimension of a module label on the projective
+    ideal; additive on sums."""
     if isinstance(label, Typical):
         return _dim_typical(ctx, label.alpha)
     if isinstance(label, Projective):

@@ -16,6 +16,7 @@ tangle engine (continuous regime) or the deformation limit (strips).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import sqrt
@@ -23,7 +24,7 @@ from math import sqrt
 import numpy as np
 
 from .qnum import QContext
-from .rep import OneDim, Projective, Simple, Sum, Typical, is_typical_weight, parse_complex
+from .rep import OneDim, Projective, Simple, Sum, Typical, _fmt_num, is_typical_weight, parse_complex
 from .ribbon import RibbonConfig
 from .tangle import hopf_tangle, renormalized_invariant
 from .deform import log_tangle_invariant
@@ -32,7 +33,7 @@ __all__ = [
     "BoundaryError", "RegimeError", "DomainError",
     "Fock", "Atyp", "VACUUM", "Regularization", "FusionVector",
     "alpha_plus", "alpha_minus", "alpha_zero", "alpha_ts",
-    "b_threshold", "regime_of", "qdim_reg", "fuse",
+    "b_threshold", "regime_of", "projective_strip", "qdim_reg", "fuse",
     "phi_dictionary", "phi_inverse", "compare_hopf_qdim", "verlinde_hom_check",
     "CompareReport", "VerlindeReport", "parse_singlet_label", "format_singlet_label",
 ]
@@ -97,15 +98,11 @@ def _validate(ctx: QContext, label):
 
 def format_singlet_label(label) -> str:
     if isinstance(label, Fock):
-        z = complex(label.lam)
-        if z.imag == 0:
-            return f"F({z.real:g})"
-        return f"F({z.real:g}{z.imag:+g}i)"
+        return f"F({_fmt_num(label.lam)})"
     return f"M({label.t},{label.s})"
 
 
 def parse_singlet_label(text: str):
-    import re
     text = text.strip()
     m = re.fullmatch(r"M\(\s*([+-]?\d+)\s*,\s*([+-]?\d+)\s*\)", text)
     if m:
@@ -163,6 +160,12 @@ def regime_of(ctx: QContext, eps: complex) -> Regularization:
     m = n % (2 * ctx.r)
     k = (n - m) // (2 * ctx.r)
     return Regularization(eps, "strip", k, m)
+
+
+def projective_strip(ctx: QContext, j: int, k: int):
+    """(k, m) of the strip S(k, m) that the projective cover P(j, k) is
+    compared on: strip index n = 2rk + m = 2rk + (j + 1 + r(k + 1))."""
+    return divmod(2 * ctx.r * k + (j + 1 + ctx.r * (k + 1)), 2 * ctx.r)
 
 
 def strip_eps(ctx: QContext, k: int, m: int, re_part: float = -0.37) -> complex:
@@ -381,12 +384,10 @@ def compare_hopf_qdim(cfg: RibbonConfig, x, color, eps: complex) -> CompareRepor
     else:
         if not isinstance(color, Projective):
             raise RegimeError("strip comparison needs a projective-cover color")
-        j, k = color.i, color.k
-        n_req = 2 * ctx.r * k + (j + 1 + ctx.r * (k + 1))
-        n_got = 2 * ctx.r * reg.k + reg.m
-        if n_got != n_req:
-            raise RegimeError(
-                f"eps lies in strip index {n_got}, but color {color} prescribes {n_req}")
+        want = projective_strip(ctx, color.i, color.k)
+        if (reg.k, reg.m) != want:
+            raise RegimeError(f"eps lies in strip (k, m) = {(reg.k, reg.m)}, "
+                              f"but color {color} prescribes {want}")
         rhs = _hopf_identity_coeff(ctx, color, x) / _hopf_identity_coeff(ctx, color, Simple(0, 0))
     lhs = phi_dictionary(ctx, x)
     lhs_val = qdim_reg(ctx, lhs, eps)

@@ -15,6 +15,9 @@ The state starts as a plain identity and turns into a jet at the first
 jet gate; a crossing is applied to it as its factors (ribbon.crossing),
 never as a dense matrix.
 
+On a projective cover, End(P) = span(Id, x) is read off the basis
+(rep.deformable_layout), not solved for; rep.hom_space is its oracle.
+
 The state is stored as (*B, rows, batch): rows index the tensor product of
 the strands, batch the open module's basis, and B the summand axes of a
 batched open module (the deformation path recolors the open strand with
@@ -44,8 +47,8 @@ import numpy as np
 
 from .jets import Jet, as_jet
 from .rep import (
-    DeformX, LinearMap, OneDim, Projective, Simple, Typical, WeightModule, dual,
-    format_label, hom_space, make_module, mat_norm, parse_complex, projective_cover,
+    DeformX, LinearMap, OneDim, Projective, Simple, Typical, WeightModule, deformable_layout,
+    dual, format_label, intertwiner_residual, make_module, parse_complex, projective_cover,
 )
 from .ribbon import (
     Crossing, RibbonConfig, coev_left, coev_right, crossing, ev_left, ev_right,
@@ -78,7 +81,7 @@ class NotEndomorphismError(ValueError):
 
 
 class BasisError(ValueError):
-    """The endomorphism space does not have the expected two-dimensional form."""
+    """The module is not a projective cover, so End(P) = span(Id, x) does not apply."""
 
 
 # ---------------------------------------------------------------------------
@@ -470,46 +473,41 @@ class EndoDecomp:
     residual: float
 
 
-def _head_socle(p: WeightModule, what: str):
-    """Indices (r - 1, r + i) of the top head and top socle-shift vectors of a
-    projective cover of Simple(i, l); BasisError "not a <what>" otherwise."""
+def _head_socle(p: WeightModule):
+    """Basis indices of the H block and of the S block, in weight order
+    -i..i, of a projective cover of Simple(i, l); BasisError otherwise."""
     cover = projective_cover(p.label)
     if cover is None:
-        raise BasisError(f"not a {what}: {format_label(p.label)}")
-    return p.ctx.r - 1, p.ctx.r + cover[0]
+        raise BasisError(f"not a projective cover: {format_label(p.label)}")
+    i = cover[0]
+    _, head, socle, _ = deformable_layout(p.ctx.r, i)
+    ks = range(-i, i + 1, 2)
+    return [head(k) for k in ks], [socle(k) for k in ks]
 
 
 def nilpotent_endo(p: WeightModule) -> np.ndarray:
-    """The square-zero endomorphism sending the top head vector to the top socle-shift."""
-    hi, si = _head_socle(p, "projective-cover module")
-    endo = hom_space(p, p)
-    if len(endo) != 2:
-        raise BasisError(f"endomorphism space has dimension {len(endo)}, expected 2")
-    rows = np.array([[m.matrix[hi, hi], m.matrix[si, hi]] for m in endo]).T
-    coeffs = np.linalg.solve(rows, np.array([0.0, 1.0]))
-    x = coeffs[0] * endo[0].matrix + coeffs[1] * endo[1].matrix
-    if mat_norm(x @ x) > p.ctx.tol * max(1.0, mat_norm(x)) ** 2:
-        raise BasisError("constructed endomorphism is not square-zero")
+    """The square-zero endomorphism x of a projective cover: the identity
+    from its H block onto its S block, w^H_k -> w^S_k for k = -i..i, so it
+    sends the top head vector to the top socle-shift.  End(P) = span(Id, x)."""
+    heads, socles = _head_socle(p)
+    x = np.zeros((p.dim, p.dim), dtype=complex)
+    x[socles, heads] = 1.0
     return x
 
 
 def decompose_endo(f, p: WeightModule) -> EndoDecomp:
-    """Write an intertwiner of a projective cover as a Id + b x."""
+    """Write an intertwiner of a projective cover as a Id + b x: a and b are
+    its entries at the top head vector and at its image under x."""
     mat = f.matrix if isinstance(f, LinearMap) else f
     if isinstance(mat, Jet):
         raise TypeError("decompose numeric endomorphisms (take a limit first)")
     mat = np.asarray(mat, dtype=complex)
-    res = 0.0
-    for gen in ("E", "F", "H", "K"):
-        g = np.asarray(getattr(p, gen))
-        r_ = np.max(np.abs(mat @ g - g @ mat)) / max(1.0, np.max(np.abs(g)) * np.max(np.abs(mat)))
-        res = max(res, float(r_))
+    res = intertwiner_residual(LinearMap(p, p, mat))
     if res > p.ctx.tol * 100:
         raise NotEndomorphismError(f"map does not commute with the action (residual {res:.2e})")
-    hi, si = _head_socle(p, "projective cover")
+    heads, socles = _head_socle(p)
+    a, b = complex(mat[heads[-1], heads[-1]]), complex(mat[socles[-1], heads[-1]])
     x = nilpotent_endo(p)
-    a = complex(mat[hi, hi])
-    b = complex(mat[si, hi])
     recon = a * np.eye(p.dim) + b * x
     resid = float(np.max(np.abs(recon - mat)) / max(1.0, np.max(np.abs(mat))))
     if resid > p.ctx.tol * 100:
@@ -521,33 +519,27 @@ def decompose_endo(f, p: WeightModule) -> EndoDecomp:
 # random braid-word tangles (systematic test family)
 
 
-def random_braid_tangle(rng, open_color, closed_color, max_crossings: int = 6,
-                        with_twist: bool = True) -> TangleExpr:
+def random_braid_tangle(rng, open_color, closed_color, max_crossings: int = 6) -> TangleExpr:
     """A random well-typed (1,1)-tangle: one closed component braided around
-    the open strand, with the underlying permutation forced back to identity."""
+    the open strand, with the underlying permutation forced back to identity,
+    and a twist of the open strand with probability 1/2."""
     n_random = int(rng.integers(0, max_crossings - 2))
-    word = []
+    slices = [Insert(2, closed_color)]
     perm = [0, 1, 2]
     for _ in range(n_random):
         p = int(rng.integers(1, 3))
-        s = int(rng.choice([-1, 1]))
-        word.append(Braid(p, s))
+        slices.append(Braid(p, int(rng.choice([-1, 1]))))
         perm[p - 1], perm[p] = perm[p], perm[p - 1]
     # undo the permutation with adjacent transpositions (bubble sort)
-    fixes = []
-    arr = perm[:]
     changed = True
     while changed:
         changed = False
         for p in range(2):
-            if arr[p] > arr[p + 1]:
-                arr[p], arr[p + 1] = arr[p + 1], arr[p]
-                fixes.append(Braid(p + 1, int(rng.choice([-1, 1]))))
+            if perm[p] > perm[p + 1]:
+                perm[p], perm[p + 1] = perm[p + 1], perm[p]
+                slices.append(Braid(p + 1, int(rng.choice([-1, 1]))))
                 changed = True
-    word.extend(fixes)
-    slices = [Insert(2, closed_color)]
-    slices.extend(word)
-    if with_twist and rng.random() < 0.5:
+    if rng.random() < 0.5:
         slices.append(TwistSlice(1, int(rng.choice([-1, 1]))))
     slices.append(Ev(2, "R"))
     return _walk(TangleExpr(open_color, tuple(slices)))[0]

@@ -14,8 +14,8 @@ from unrolled_sl2.tangle import hopf_tangle
 from unrolled_sl2.singlet import (
     Atyp, BoundaryError, DomainError, Fock, RegimeError, VACUUM, FusionVector,
     alpha_minus, alpha_ts, b_threshold, compare_hopf_qdim, fuse, parse_complex,
-    phi_dictionary, phi_inverse, qdim_reg, regime_of, strip_eps,
-    verlinde_hom_check,
+    format_singlet_label, parse_singlet_label, phi_dictionary, phi_inverse,
+    projective_strip, qdim_reg, regime_of, strip_eps, verlinde_hom_check,
 )
 
 
@@ -168,6 +168,29 @@ def test_compare_strip():
         with pytest.raises(RegimeError):
             compare_hopf_qdim(cfg, Typical(0.37), Projective(0, 0),
                               complex(-0.41, (2 * r + 1 + r) / np.sqrt(2 * r) + 17 / np.sqrt(2 * r)))
+
+
+def test_projective_strip_is_the_strip_of_its_eps():
+    """P(j, k) prescribes strip index n = 2rk + (j + 1 + r(k + 1)); strip_eps
+    of its (k, m) lands there, and compare refuses any other strip."""
+    for r in (2, 3, 4):
+        ctx = QContext(r)
+        for j in range(r - 1):
+            for k in (-2, -1, 0, 1, 2):
+                ks, m = projective_strip(ctx, j, k)
+                assert 2 * r * ks + m == 2 * r * k + (j + 1 + r * (k + 1)) and 0 <= m < 2 * r
+                reg = regime_of(ctx, strip_eps(ctx, ks, m, re_part=-0.41))
+                assert (reg.kind, reg.k, reg.m) == ("strip", ks, m)
+    ctx = QContext(3)
+    with pytest.raises(RegimeError, match=r"strip \(k, m\) = \(0, 1\), .* prescribes \(0, 5\)"):
+        compare_hopf_qdim(get_config(ctx), Typical(0.37), Projective(1, 0), strip_eps(ctx, 0, 1))
+
+
+def test_singlet_labels_print_and_parse_back():
+    for lab, text in [(Fock(0.25), "F(0.25)"), (Fock(0.25 - 1.5j), "F(0.25-1.5i)"),
+                      (Fock(-3 + 2j), "F(-3+2i)"), (Atyp(2, 1), "M(2,1)")]:
+        assert format_singlet_label(lab) == text
+        assert parse_singlet_label(text) == lab
 
 
 def test_strip_memo_is_keyed_by_value(monkeypatch):

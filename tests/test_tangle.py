@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from unrolled_sl2.qnum import QContext
-from unrolled_sl2.rep import DeformX, Projective, Simple, Typical, make_module, summand_weights
+from unrolled_sl2.rep import (
+    DeformX, LinearMap, Projective, Simple, Typical, hom_space, intertwiner_residual,
+    make_module, summand_weights,
+)
 from unrolled_sl2 import tangle
 from unrolled_sl2.ribbon import (
     braiding_matrix, coev_left, ev_right, get_config, hopf_closed_form, modified_dim,
     scalar_of,
 )
 from unrolled_sl2.tangle import (
-    Braid, Coev, Ev, Insert, TangleExpr, TangleSyntaxError,
+    BasisError, Braid, Coev, Ev, Insert, TangleExpr, TangleSyntaxError,
     TwistSlice, TypeMismatchError, decompose_endo, eval_tangle, hopf_tangle,
     nilpotent_endo, parse_tangle, power_hopf_tangle, random_braid_tangle,
     renormalized_invariant, twist_loop_tangle,
@@ -205,6 +208,38 @@ def test_decompose_endo_basics():
         bad = np.eye(p.dim)
         bad[0, 1] = 0.3
         decompose_endo(bad, p)
+
+
+@pytest.mark.parametrize("r,i,l", [(r, i, l) for r in range(2, 8) for i in range(r - 1)
+                                   for l in range(-2, 3)])
+def test_closed_form_nilpotent_endo(r, i, l):
+    """x, read off the basis layout, lies in End(P) as the hom-space solver
+    finds it, squares to zero, intertwines, and a Id + b x decomposes to (a, b)."""
+    ctx = QContext(r)
+    p = make_module(ctx, Projective(i, l))
+    x = nilpotent_endo(p)
+    endo = hom_space(p, p)
+    assert len(endo) == 2
+    basis = np.array([m.matrix.ravel() for m in endo]).T
+    coef = np.linalg.lstsq(basis, x.ravel(), rcond=None)[0]
+    assert np.max(np.abs(basis @ coef - x.ravel())) < 1e-12
+    assert not np.any(x @ x)
+    assert intertwiner_residual(LinearMap(p, p, x)) < 1e-12
+    rng = np.random.default_rng([r, i, l + 2])
+    a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+    d = decompose_endo(a * np.eye(p.dim) + b * x, p)
+    assert (d.a, d.b) == (a, b)
+
+
+@pytest.mark.parametrize("label,name", [(Typical(0.37), "V(0.37)"), (Simple(1, 0), "S(1,0)"),
+                                        (DeformX(1, 0, 0.3), "X(1,0,0.3)")])
+def test_basis_error_on_non_cover(label, name):
+    """nilpotent_endo and decompose_endo refuse a non-cover with one message."""
+    p = make_module(QContext(3), label)
+    for call in (lambda: nilpotent_endo(p), lambda: decompose_endo(np.eye(p.dim), p)):
+        with pytest.raises(BasisError) as ei:
+            call()
+        assert str(ei.value) == f"not a projective cover: {name}"
 
 
 def test_hopf_on_projective_open_color_has_zero_head_scalar():
