@@ -23,7 +23,9 @@ stack is padded so that a scalar jet broadcasts across entries and not
 across orders; in @, on either side, a matrix stack is padded to the other
 operand's rank, so a gate jet broadcasts over the batch axes of a state,
 and a batched plain gate over those of a jet state.  + and - add a
-plain operand into the eps^0 slice without promoting it.
+plain operand into the eps^0 slice without promoting it.  Division by a
+plain number is one multiply of the stack by its reciprocal; a jet or
+array divisor goes through reciprocal().
 
 Zero detection follows two rules.  Arithmetic trims a leading slice only
 where it cancelled in addition (|a_k + b_k| <= ztol (|a_k| + |b_k|)
@@ -253,7 +255,14 @@ class Jet:
         return Jet(out, -j.val)
 
     def __truediv__(self, other):
-        return self * self._promote(other).reciprocal()
+        """Quotient.  A plain-number divisor is one multiply by its reciprocal,
+        with the values of the product with as_jet(other).reciprocal();
+        zero raises PoleError."""
+        if isinstance(other, Jet) or np.ndim(other):
+            return self * self._promote(other).reciprocal()
+        if other == 0:
+            raise PoleError("division by a zero jet")
+        return Jet(self.c * (1.0 / np.complex128(other)), self.val)
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other

@@ -17,11 +17,15 @@ braiding_matrix is a crossing applied to the identity.  The twist of sign s
 against the pivot, taken in closed form on d x d matrices:
 theta^s = sum_(n<r) c_n X^n K^(1-r) Y^n q^(s H (H + 2sn) / 2), with c_n the
 tail's coefficients and (X, Y) = (F, E) or (E, F), because E^n and F^n shift
-weights by exactly +-2n; it is one matmul over the stacked powers.  The pivot
-and the Cartan factor are each one qpow of weight vectors, so ribbon maps
-take modules whose H has no Jordan part (WeightModule.jordan is None) and
-refuse the self-extension, and what is built from it, with
-NotProjectiveError.  Every map has one code path for float and jet
+weights by exactly +-2n; it is one matmul over the stacked powers.  The pivot,
+the Cartan factor and the twist's phases are each one qpow of weight
+vectors, so ribbon maps take modules whose H has no Jordan part
+(WeightModule.jordan is None) and refuse the self-extension, and what is
+built from it, with NotProjectiveError.  On the deformation family, whose
+weights are linear in eps, a Cartan exponent is linear in eps (quadratic
+for the family against itself) and a twist exponent quadratic, and qpow
+exponentiates both in closed form; the twist's division by 2 is one plain
+multiply of the jet.  Every map has one code path for float and jet
 matrices: jets index, reshape and transpose like arrays, and multiply
 float operands without promoting them.  The tail and the twist read the
 stacks of powers of E and F from WeightModule.powers, which builds each

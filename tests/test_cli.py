@@ -248,3 +248,12 @@ def test_overflowing_literal_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: bad c") and "1e400" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tolerance_is_usage_error(capsys, tol):
+    code, out, err = run(capsys, "loghopf", "--r", "3", "--tol", tol, "--Z", "V(0.3)",
+                         "--j", "0", "--l", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: tolerance must be finite and positive") and err.count("\n") == 1

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from unrolled_sl2.jets import PoleError, as_jet
-from unrolled_sl2.qnum import QContext, qbracket, qfact, qint, qpow
+from unrolled_sl2 import deform, ribbon
+from unrolled_sl2.jets import Jet, PoleError, as_jet
+from unrolled_sl2.qnum import QContext, _period_reduced, qbracket, qfact, qint, qpow
+from unrolled_sl2.rep import Projective, Simple, make_module
 
 RS = [2, 3, 4, 5, 6]
 
@@ -18,6 +20,12 @@ def test_context_invariants():
         QContext(1)
     with pytest.raises(ValueError):
         QContext(3, tol=-1.0)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), 0.0])
+def test_tolerance_must_be_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+        QContext(3, tol=tol)
 
 
 def test_qpow_examples():
@@ -103,10 +111,105 @@ def test_limit_commutes_with_arithmetic():
 
 
 def test_jet_evaluation_matches_numeric_kernel():
-    ctx = QContext(5)
+    # a jet truncated at eps^6 evaluated at t = 1e-3 is exact to about 1e-18;
+    # the 1e-12 agreement asked for here needs at least that order
+    ctx = QContext(5, jet_order=6)
     e = ctx.eps()
     t = 1e-3
     for x0 in (0.37, -1.2 + 0.4j):
         assert qpow(ctx, x0 + e)(t) == pytest.approx(qpow(ctx, x0 + t), rel=1e-12)
         assert qbracket(ctx, x0 + e)(t) == pytest.approx(qbracket(ctx, x0 + t), rel=1e-12)
         assert qint(ctx, x0 + e)(t) == pytest.approx(qint(ctx, x0 + t), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# qpow of a jet at most quadratic in eps: closed form, same bits as Jet.exp
+
+
+def _qpow_by_jet_exp(ctx, x):
+    """q^x through Jet.exp, with the eps^0 slice of a valuation-0 jet reduced
+    modulo 2r as qpow reduces it."""
+    if x.val == 0:
+        x = Jet(np.concatenate([_period_reduced(ctx, x.c[:1]), x.c[1:]]), 0)
+    return ((1j * np.pi / ctx.r) * x).exp()
+
+
+def _assert_same_bits(got, want):
+    assert (got.val, got.c.shape) == (want.val, want.c.shape)
+    assert np.array_equal(got.c, want.c)
+
+
+def _random_jet(rng, shape, top, order, re0):
+    """A valuation-0 jet whose slices above eps^top are zero, with real parts
+    of the eps^0 slice of size re0."""
+    c = np.zeros((order, *shape), dtype=complex)
+    for k in range(top + 1):
+        c[k] = rng.normal(size=shape) * (re0 if k == 0 else 1.0) + 1j * rng.normal(size=shape)
+    return Jet(c, 0)
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (2, 4, 3)], ids=["scalar", "vector", "batched"])
+@pytest.mark.parametrize("top", [1, 2], ids=["linear", "quadratic"])
+def test_closed_form_qpow_matches_jet_exp_to_the_bit(shape, top):
+    """Real parts beyond 2r take the period reduction first."""
+    rng = np.random.default_rng(top)
+    for r in range(2, 8):
+        for order in (3, 6, 8):
+            ctx = QContext(r, jet_order=order)
+            for re0 in (1.0, 1e4):
+                x = _random_jet(rng, shape, top, order, re0)
+                _assert_same_bits(qpow(ctx, x), _qpow_by_jet_exp(ctx, x))
+
+
+def test_closed_form_qpow_keeps_zero_slices_and_their_trim():
+    """A missing c1 or c2, zero entries, and a result whose eps^0 slice
+    underflows to zero, where Jet.exp trims the exactly-zero leading slices."""
+    ctx = QContext(3)
+    e = ctx.eps()
+    for x in (0.3 + 0 * e, 0.3 + 2 * e * e, 0.3 - e + 0.5 * e * e,
+              Jet(np.array([[0.5, 0.0], [1.0, 0.0], [0.0, 1.0]]), 0),
+              Jet(np.array([800j, 1.0, 0.0]), 0)):
+        _assert_same_bits(qpow(ctx, x), _qpow_by_jet_exp(ctx, x))
+    assert qpow(ctx, Jet(np.array([800j, 1.0, 0.0]), 0)).is_zero()
+
+
+def test_qpow_beyond_quadratic_takes_jet_exp(monkeypatch):
+    ctx = QContext(4)
+    e = ctx.eps()
+    calls = []
+    exp = Jet.exp
+    monkeypatch.setattr(Jet, "exp", lambda self: calls.append(self) or exp(self))
+    for x in (0.3 + e, 0.3 + e + 2 * e * e):
+        qpow(ctx, x)
+    assert calls == []
+    for x in (0.3 + e * e * e, e):  # cubic, valuation 1
+        got = qpow(ctx, x)
+        _assert_same_bits(got, exp((1j * np.pi / ctx.r) * x))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("r", RS)
+def test_family_cartan_and_twist_phases_match_jet_exp(monkeypatch, r):
+    """Every jet that the crossings and twists of the deformation families
+    pass to qpow: linear Cartan exponents against a float module, quadratic
+    ones of a family against itself, and the quadratic twist exponents."""
+    ctx = QContext(r)
+    cfg = ribbon.get_config(ctx)
+    seen = []
+    monkeypatch.setattr(ribbon, "qpow", lambda ctx, x: seen.append(x) or qpow(ctx, x))
+    closed = [make_module(ctx, lab) for lab in (Simple(r - 2, 1), Projective(0, -1))]
+    for i in range(r - 1):
+        for l in (-1, 0, 1):
+            mod = deform._family(ctx, i, l)[0]
+            for sign in (1, -1):
+                for z in closed:
+                    ribbon.crossing(cfg, mod, z, sign)
+                    ribbon.crossing(cfg, z, mod, sign)
+                ribbon.crossing(cfg, mod, mod, sign)
+                ribbon.twist_matrix(cfg, mod, sign)
+    jets = [x for x in seen if isinstance(x, Jet)]
+    assert len(jets) == 3 * (r - 1) * 2 * 6
+    assert {int(np.count_nonzero(x.c[2])) > 0 for x in jets} == {False, True}
+    for x in jets:
+        assert x.val == 0 and not x.c[3:].any()
+        _assert_same_bits(qpow(ctx, x), _qpow_by_jet_exp(ctx, x))

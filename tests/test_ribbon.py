@@ -269,8 +269,11 @@ def test_jet_braiding_limits_to_numeric():
 
 @pytest.mark.parametrize("r", [2, 3, 5])
 def test_jet_gates_match_float_gates_off_zero(r):
-    """Jet modules and gates evaluated at eps = t equal float ones built at t."""
-    ctx = QContext(r)
+    """Jet modules and gates evaluated at eps = t equal float ones built at t.
+
+    At t = 1e-3 a jet truncated at eps^6 is exact to about 1e-18, which the
+    1e-12 bound needs; a lower order would truncate near t^order."""
+    ctx = QContext(r, jet_order=6)
     cfg = get_config(ctx)
     e, t = ctx.eps(), 1e-3
 
