@@ -23,9 +23,7 @@ stack is padded so that a scalar jet broadcasts across entries and not
 across orders; in @, on either side, a matrix stack is padded to the other
 operand's rank, so a gate jet broadcasts over the batch axes of a state,
 and a batched plain gate over those of a jet state.  + and - add a
-plain operand into the eps^0 slice without promoting it.  Division by a
-plain number is one multiply of the stack by its reciprocal; a jet or
-array divisor goes through reciprocal().
+plain operand into the eps^0 slice without promoting it.
 
 Zero detection follows two rules.  Arithmetic trims a leading slice only
 where it cancelled in addition (|a_k + b_k| <= ztol (|a_k| + |b_k|)
@@ -255,14 +253,7 @@ class Jet:
         return Jet(out, -j.val)
 
     def __truediv__(self, other):
-        """Quotient.  A plain-number divisor is one multiply by its reciprocal,
-        with the values of the product with as_jet(other).reciprocal();
-        zero raises PoleError."""
-        if isinstance(other, Jet) or np.ndim(other):
-            return self * self._promote(other).reciprocal()
-        if other == 0:
-            raise PoleError("division by a zero jet")
-        return Jet(self.c * (1.0 / np.complex128(other)), self.val)
+        return self * self._promote(other).reciprocal()
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other
@@ -281,13 +272,15 @@ class Jet:
 
     # -- analytic functions, entrywise -------------------------------------
 
-    def _entire(self, taylor) -> "Jet":
+    def _entire(self, derivs) -> "Jet":
         """Apply an entire function entrywise via its Taylor expansion about c0.
 
-        taylor(z0, k) must return f^(k)(z0) / k! for an array z0.  Requires
-        valuation >= 0 (an essential singularity otherwise).  Only exactly-zero
-        leading slices are trimmed, of the input and of the result, so a small
-        genuine leading coefficient is kept on both.
+        derivs(z0) must return f(z0), f'(z0), ... for an array z0 up to where
+        the derivatives repeat (exp: one, sin: four), so each is computed
+        once; the k-th Taylor coefficient is derivs(z0)[k mod period] / k!.
+        Requires valuation >= 0 (an essential singularity otherwise).  Only
+        exactly-zero leading slices are trimmed, of the input and of the
+        result, so a small genuine leading coefficient is kept on both.
         """
         j = self if self.val >= 0 else self.normalized(0.0)
         if j.val < 0:
@@ -295,28 +288,34 @@ class Jet:
         n = j.val + j.order
         c = np.zeros((n, *j.shape), dtype=complex)
         c[j.val:] = j.c
-        z0 = c[0]
         # nonzero slices of h = c - z0
         hz = (np.flatnonzero(c.reshape(n, -1)[1:].any(axis=1)) + 1).tolist()
+        # h^k starts at slice k * hz[0], so it vanishes below the order beyond that
+        d = derivs(c[0])
+        taylor = [d[k % len(d)] / math.factorial(k)
+                  for k in range((n - 1) // hz[0] + 1 if hz else 1)]
         out = np.zeros(c.shape, dtype=complex)
-        out[0] = taylor(z0, 0)
+        out[0] = taylor[0]
         hk = np.zeros(c.shape, dtype=complex)  # h^k, from h^0 = 1
         hk[0] = 1.0
-        # h^k starts at slice k * hz[0], so it vanishes below the order beyond that
-        for k in range(1, (n - 1) // hz[0] + 1 if hz else 1):
-            new = np.zeros(c.shape, dtype=complex)
+        new = np.empty_like(hk)  # h^(k+1) is built here, then the two swap
+        for k in range(1, len(taylor)):
+            new.fill(0.0)
             for i in hz:
                 new[i:] += hk[:n - i] * c[i]
-            hk = new
-            out += taylor(z0, k) * hk
-        return Jet(out, 0).normalized(0.0)
+            hk, new = new, hk
+            out += taylor[k] * hk
+        res = Jet(out, 0)
+        return res if out[0].any() else res.normalized(0.0)
 
     def exp(self) -> "Jet":
-        return self._entire(lambda z0, k: np.exp(z0) / math.factorial(k))
+        return self._entire(lambda z0: (np.exp(z0),))
 
     def sin(self) -> "Jet":
-        cyc = (np.sin, np.cos, lambda z: -np.sin(z), lambda z: -np.cos(z))
-        return self._entire(lambda z0, k: cyc[k % 4](z0) / math.factorial(k))
+        def derivs(z0):
+            s, c = np.sin(z0), np.cos(z0)
+            return s, c, -s, -c
+        return self._entire(derivs)
 
     # -- matrix helpers ------------------------------------------------------
 

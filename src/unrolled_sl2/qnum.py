@@ -45,62 +45,24 @@ def _period_reduced(ctx: QContext, x):
     """x with Re x taken modulo 2r, the period of q^x, where |Re x| > 2r.
 
     A large argument would carry its round-off into the phase; smaller ones
-    are returned unchanged, to the bit.
+    are returned unchanged, to the bit, as an array (no copy when none is large).
     """
     p = 2 * ctx.r
-    return np.where(np.abs(x.real) > p, x - p * np.floor(x.real / p), x)
+    big = np.abs(x.real) > p
+    return np.where(big, x - p * np.floor(x.real / p), x) if big.any() else np.asarray(x)
 
 
 def qpow(ctx: QContext, x):
     """q^x = exp(i*pi*x/r) for complex, array or jet x (arrays and jets entrywise),
-    with Re x (on a jet of valuation 0, of its eps^0 slice) first reduced modulo 2r.
-
-    A valuation-0 jet whose slices above eps^2 are all zero takes the closed
-    form _exp_quadratic, which gives Jet.exp's coefficients to the bit; every
-    other jet goes through Jet.exp.  The deformation family's weights are
-    linear in eps, so the Cartan exponents of its crossings are linear and
-    its twist exponents quadratic.
-    """
+    with Re x (on a jet, of its eps^0 slice) first reduced modulo 2r; a jet
+    goes through Jet.exp."""
     if isinstance(x, Jet):
-        s = 1j * np.pi / ctx.r
-        if x.val != 0:
-            return (s * x).exp()
-        c = np.concatenate([_period_reduced(ctx, x.c[:1]), x.c[1:]])
-        return (s * Jet(c, 0)).exp() if np.count_nonzero(c[3:]) else _exp_quadratic(s * c)
+        if x.val == 0:
+            x = Jet(np.concatenate([_period_reduced(ctx, x.c[:1]), x.c[1:]]), 0)
+        return ((1j * np.pi / ctx.r) * x).exp()
     if np.ndim(x):
         return np.exp(1j * np.pi * _period_reduced(ctx, np.asarray(x, dtype=complex)) / ctx.r)
     return complex(np.exp(1j * np.pi * _period_reduced(ctx, complex(x)) / ctx.r))
-
-
-def _exp_quadratic(c) -> Jet:
-    """exp of the valuation-0 jet with coefficient stack c, zero above eps^2.
-
-    exp(c0 + h) = exp(c0) sum_k h^k / k! with h = c1 eps + c2 eps^2.  The
-    eps^(k + j) coefficient of h^k, with j factors c2, is a[k, j] =
-    a[k-1, j] c1 + a[k-1, j-1] c2, and slice m of the result adds
-    (exp(c0) / k!) a[k, m - k] over k upwards.  These are the products and
-    sums of Jet.exp in its order, less terms that are exactly zero, so on
-    finite input the coefficients are the same to the bit.  As there, only
-    exactly-zero leading slices of the result are trimmed.
-    """
-    n, shape = len(c), c.shape[1:]
-    out = np.zeros(c.shape, dtype=complex)
-    e = out[0] = np.exp(c[0])
-    quadratic = n > 2 and np.count_nonzero(c[2])
-    J = (n - 1) // 2 if quadratic else 0
-    # a[k, 1 + j]; column 0 is a zero pad, so the c2 term of j = 0 reads zero
-    a = np.zeros((n, J + 2, *shape), dtype=complex)
-    a[0, 1] = 1.0
-    for k in range(1, n):
-        np.multiply(a[k - 1, 1:], c[1], out=a[k, 1:])
-        if quadratic:
-            a[k, 1:] += a[k - 1, :-1] * c[2]
-    fact = np.array([math.factorial(k) for k in range(1, n)], dtype=float)
-    t = e / fact.reshape(n - 1, *(1,) * len(shape))
-    for j in range(J, -1, -1):  # k = m - j rises as j falls
-        out[1 + j:] += t[:n - 1 - j] * a[1:n - j, 1 + j]
-    res = Jet(out, 0)
-    return res if np.count_nonzero(out[0]) else res.normalized(0.0)
 
 
 def qbracket(ctx: QContext, x):

@@ -21,13 +21,9 @@ weights by exactly +-2n; it is one matmul over the stacked powers.  The pivot,
 the Cartan factor and the twist's phases are each one qpow of weight
 vectors, so ribbon maps take modules whose H has no Jordan part
 (WeightModule.jordan is None) and refuse the self-extension, and what is
-built from it, with NotProjectiveError.  On the deformation family, whose
-weights are linear in eps, a Cartan exponent is linear in eps (quadratic
-for the family against itself) and a twist exponent quadratic, and qpow
-exponentiates both in closed form; the twist's division by 2 is one plain
-multiply of the jet.  Every map has one code path for float and jet
-matrices: jets index, reshape and transpose like arrays, and multiply
-float operands without promoting them.  The tail and the twist read the
+built from it, with NotProjectiveError.  Every map has one code path for
+float and jet matrices: jets index, reshape and transpose like arrays,
+and multiply float operands without promoting them.  The tail and the twist read the
 stacks of powers of E and F from WeightModule.powers, which builds each
 once per module and keeps it read-only: a tangle evaluation reuses every
 strand's stacks across its crossings and twists, and the deformation
@@ -220,7 +216,7 @@ def twist_matrix(cfg: RibbonConfig, m: WeightModule, sign: int = 1):
     w, n = _weights(m)[..., None, :], np.arange(r)[:, None]
     X, Y = ("F", "E") if sign == 1 else ("E", "F")
     cols = _tail_coefs(ctx, sign)[:, None] * qpow(ctx, sign * (w + 2 * sign * n)
-                                                  * (w + 2 * sign * p) / 2)
+                                                  * (w + 2 * sign * p) * 0.5)
     X, Y = m.powers(X).swapaxes(-3, -2), m.powers(Y) * cols[..., None, :]
     return X.reshape(*X.shape[:-3], d, r * d) @ Y.reshape(*Y.shape[:-3], r * d, d)
 

@@ -32,29 +32,6 @@ def test_division_shifts_valuation():
     assert q.limit() == pytest.approx(1.0)
 
 
-def test_division_by_a_number_matches_the_reciprocal_jet():
-    """j / d by a plain number is one multiply with the values of the old
-    route j * as_jet(d).reciprocal(), to the bit; zero still raises PoleError,
-    and jet and array divisors keep the reciprocal route."""
-    rng = np.random.default_rng(11)
-    divisors = (2, -3, 0.7, 1e-300, 1e300, 3 - 4j, np.float64(0.3), np.int64(7),
-                np.complex128(-1.5 + 2j), complex(rng.normal(), rng.normal()))
-    for shape in ((), (3,), (2, 3, 4)):
-        for order, val in ((1, 0), (3, -1), (6, 2)):
-            j = Jet(rng.normal(size=(order, *shape)) + 1j * rng.normal(size=(order, *shape)), val)
-            for d in divisors:
-                got, want = j / d, j * as_jet(d, order).reciprocal()
-                assert (got.val, got.c.shape) == (want.val, want.c.shape)
-                assert np.array_equal(got.c, want.c)
-            for zero in (0, 0.0, 0j, np.float64(0.0)):
-                with pytest.raises(PoleError):
-                    j / zero
-    e = jet(4)
-    assert ((1 + e) / (2 + 0 * e)).c.tolist() == [0.5, 0.5, 0, 0]
-    with pytest.raises(ValueError, match="scalar jets"):
-        e / np.array([1.0, 2.0])
-
-
 def test_reciprocal_series():
     e = jet(8)
     g = (1 + e).reciprocal()

@@ -1,11 +1,13 @@
 """Scalar kernel: q-powers, brackets, factorials, jet limits/derivatives."""
 
+import math
+
 import numpy as np
 import pytest
 
 from unrolled_sl2 import deform, ribbon
 from unrolled_sl2.jets import Jet, PoleError, as_jet
-from unrolled_sl2.qnum import QContext, _period_reduced, qbracket, qfact, qint, qpow
+from unrolled_sl2.qnum import QContext, qbracket, qfact, qint, qpow
 from unrolled_sl2.rep import Projective, Simple, make_module
 
 RS = [2, 3, 4, 5, 6]
@@ -123,73 +125,101 @@ def test_jet_evaluation_matches_numeric_kernel():
 
 
 # ---------------------------------------------------------------------------
-# qpow of a jet at most quadratic in eps: closed form, same bits as Jet.exp
+# Jet.exp and Jet.sin, and so qpow on a jet: same bits as the plain Taylor loop
 
 
-def _qpow_by_jet_exp(ctx, x):
-    """q^x through Jet.exp, with the eps^0 slice of a valuation-0 jet reduced
-    modulo 2r as qpow reduces it."""
+def _series(x, taylor):
+    """f(x) for a jet x by the plain Taylor loop about its eps^0 slice, with
+    taylor(z0, k) = f^(k)(z0) / k! evaluated afresh for every k and a fresh
+    power h^k per k; only exactly-zero leading slices are trimmed."""
+    n = x.val + x.order
+    c = np.zeros((n, *x.shape), dtype=complex)
+    c[x.val:] = x.c
+    hz = (np.flatnonzero(c.reshape(n, -1)[1:].any(axis=1)) + 1).tolist()
+    out = np.zeros(c.shape, dtype=complex)
+    out[0] = taylor(c[0], 0)
+    hk = np.zeros(c.shape, dtype=complex)
+    hk[0] = 1.0
+    for k in range(1, (n - 1) // hz[0] + 1 if hz else 1):
+        new = np.zeros(c.shape, dtype=complex)
+        for i in hz:
+            new[i:] += hk[:n - i] * c[i]
+        hk = new
+        out += taylor(c[0], k) * hk
+    return Jet(out, 0).normalized(0.0)
+
+
+def _exp_series(x):
+    return _series(x, lambda z0, k: np.exp(z0) / math.factorial(k))
+
+
+def _sin_series(x):
+    cyc = (np.sin, np.cos, lambda z: -np.sin(z), lambda z: -np.cos(z))
+    return _series(x, lambda z0, k: cyc[k % 4](z0) / math.factorial(k))
+
+
+def _qpow_series(ctx, x):
+    """q^x by the plain Taylor loop, with the real parts of the eps^0 slice
+    of a valuation-0 jet beyond 2r taken modulo 2r."""
     if x.val == 0:
-        x = Jet(np.concatenate([_period_reduced(ctx, x.c[:1]), x.c[1:]]), 0)
-    return ((1j * np.pi / ctx.r) * x).exp()
+        p, c = 2 * ctx.r, x.c.copy()
+        c[0] = np.where(np.abs(c[0].real) > p, c[0] - p * np.floor(c[0].real / p), c[0])
+        x = Jet(c, 0)
+    return _exp_series((1j * np.pi / ctx.r) * x)
 
 
 def _assert_same_bits(got, want):
     assert (got.val, got.c.shape) == (want.val, want.c.shape)
     assert np.array_equal(got.c, want.c)
+    assert np.array_equal(np.signbit(got.c.view(float)), np.signbit(want.c.view(float)))
 
 
-def _random_jet(rng, shape, top, order, re0):
-    """A valuation-0 jet whose slices above eps^top are zero, with real parts
-    of the eps^0 slice of size re0."""
+def _random_jet(rng, shape, top, order, re0, val=0):
+    """A jet whose slices above eps^(val + top) are zero, with real parts of
+    its leading slice of size re0."""
     c = np.zeros((order, *shape), dtype=complex)
-    for k in range(top + 1):
+    for k in range(min(top + 1, order)):
         c[k] = rng.normal(size=shape) * (re0 if k == 0 else 1.0) + 1j * rng.normal(size=shape)
-    return Jet(c, 0)
+    return Jet(c, val)
 
 
 @pytest.mark.parametrize("shape", [(), (5,), (2, 4, 3)], ids=["scalar", "vector", "batched"])
-@pytest.mark.parametrize("top", [1, 2], ids=["linear", "quadratic"])
-def test_closed_form_qpow_matches_jet_exp_to_the_bit(shape, top):
-    """Real parts beyond 2r take the period reduction first."""
+@pytest.mark.parametrize("top", [1, 2, 3, 7], ids=["linear", "quadratic", "cubic", "full"])
+def test_exp_sin_and_qpow_match_the_taylor_loop_to_the_bit(shape, top):
+    """Real parts of 1e4 take qpow's period reduction first; valuation 1
+    starts h at eps^1 with no eps^0 slice."""
     rng = np.random.default_rng(top)
     for r in range(2, 8):
         for order in (3, 6, 8):
             ctx = QContext(r, jet_order=order)
             for re0 in (1.0, 1e4):
-                x = _random_jet(rng, shape, top, order, re0)
-                _assert_same_bits(qpow(ctx, x), _qpow_by_jet_exp(ctx, x))
+                for val in (0, 1):
+                    x = _random_jet(rng, shape, top, order, re0, val)
+                    _assert_same_bits(qpow(ctx, x), _qpow_series(ctx, x))
+                    if re0 == 1.0:
+                        _assert_same_bits(x.exp(), _exp_series(x))
+                        _assert_same_bits(x.sin(), _sin_series(x))
 
 
-def test_closed_form_qpow_keeps_zero_slices_and_their_trim():
-    """A missing c1 or c2, zero entries, and a result whose eps^0 slice
-    underflows to zero, where Jet.exp trims the exactly-zero leading slices."""
+def test_exp_and_sin_keep_zero_slices_and_their_trim():
+    """A missing c1 or c2, zero entries, and results whose eps^0 slice is
+    exactly zero (sin(0), and an exp that underflows), where only the
+    exactly-zero leading slices are trimmed."""
     ctx = QContext(3)
     e = ctx.eps()
-    for x in (0.3 + 0 * e, 0.3 + 2 * e * e, 0.3 - e + 0.5 * e * e,
-              Jet(np.array([[0.5, 0.0], [1.0, 0.0], [0.0, 1.0]]), 0),
-              Jet(np.array([800j, 1.0, 0.0]), 0)):
-        _assert_same_bits(qpow(ctx, x), _qpow_by_jet_exp(ctx, x))
-    assert qpow(ctx, Jet(np.array([800j, 1.0, 0.0]), 0)).is_zero()
-
-
-def test_qpow_beyond_quadratic_takes_jet_exp(monkeypatch):
-    ctx = QContext(4)
-    e = ctx.eps()
-    calls = []
-    exp = Jet.exp
-    monkeypatch.setattr(Jet, "exp", lambda self: calls.append(self) or exp(self))
-    for x in (0.3 + e, 0.3 + e + 2 * e * e):
-        qpow(ctx, x)
-    assert calls == []
-    for x in (0.3 + e * e * e, e):  # cubic, valuation 1
-        got = qpow(ctx, x)
-        _assert_same_bits(got, exp((1j * np.pi / ctx.r) * x))
-    assert len(calls) == 2
+    for x in (0.3 + 0 * e, 0.3 + 2 * e * e, 0.3 - e + 0.5 * e * e, e, -e + e * e * e,
+              Jet(np.array([[0.5, 0.0], [1.0, 0.0], [0.0, 1.0]]), 0)):
+        _assert_same_bits(qpow(ctx, x), _qpow_series(ctx, x))
+        _assert_same_bits(x.exp(), _exp_series(x))
+        _assert_same_bits(x.sin(), _sin_series(x))
+    under = Jet(np.array([800j, 1.0, 0.0]), 0)
+    _assert_same_bits(qpow(ctx, under), _qpow_series(ctx, under))
+    assert qpow(ctx, under).is_zero()
+    assert e.sin().val == 1
 
 
 @pytest.mark.parametrize("r", RS)
-def test_family_cartan_and_twist_phases_match_jet_exp(monkeypatch, r):
+def test_family_cartan_and_twist_phases_match_the_taylor_loop(monkeypatch, r):
     """Every jet that the crossings and twists of the deformation families
     pass to qpow: linear Cartan exponents against a float module, quadratic
     ones of a family against itself, and the quadratic twist exponents."""
@@ -212,4 +242,4 @@ def test_family_cartan_and_twist_phases_match_jet_exp(monkeypatch, r):
     assert {int(np.count_nonzero(x.c[2])) > 0 for x in jets} == {False, True}
     for x in jets:
         assert x.val == 0 and not x.c[3:].any()
-        _assert_same_bits(qpow(ctx, x), _qpow_by_jet_exp(ctx, x))
+        _assert_same_bits(qpow(ctx, x), _qpow_series(ctx, x))
