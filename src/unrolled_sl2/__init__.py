@@ -23,9 +23,8 @@ from .tangle import (
     twist_loop_tangle,
 )
 from .deform import (
-    CrossCheckError, DimLimitReport, LogInvariantResult, MismatchError,
-    dim_limit_check, log_endomorphism, log_hopf, log_hopf_closed,
-    log_tangle_invariant,
+    CrossCheckError, DimLimitReport, LogInvariantResult, dim_limit_check,
+    log_hopf_closed, log_tangle_invariant,
 )
 from .singlet import (
     Atyp, BoundaryError, CompareReport, DomainError, Fock, FusionVector,

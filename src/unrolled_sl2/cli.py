@@ -21,15 +21,15 @@ from .rep import (
     make_module, module_dump, parse_complex, projective_cover, verify_relations,
 )
 from .ribbon import (
-    NoClosedFormError, NotProjectiveError, calibrate, get_config, hopf_closed_form,
-    modified_trace, scalar_of,
+    CalibrationError, NoClosedFormError, NotProjectiveError, calibrate, get_config,
+    hopf_closed_form, modified_trace, scalar_of,
 )
 from .singlet import (
     BoundaryError, DomainError, RegimeError, compare_hopf_qdim, format_singlet_label, fuse,
     parse_singlet_label, projective_strip, qdim_reg, regime_of, strip_eps,
 )
 from .tangle import eval_tangle, hopf_tangle, parse_color, parse_tangle
-from .deform import CrossCheckError, MismatchError, log_hopf_closed, log_tangle_invariant
+from .deform import CrossCheckError, log_hopf_closed, log_tangle_invariant
 
 SCHEMA = "unrolled-sl2/1"
 
@@ -327,10 +327,10 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (DomainError, BoundaryError, RegimeError, NotProjectiveError, NoClosedFormError,
-            ValueError, SyntaxError) as exc:
+            CalibrationError, ValueError, SyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MismatchError, CrossCheckError) as exc:
+    except CrossCheckError as exc:
         print(f"mismatch: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,11 @@ derivative combination.  Both summands are evaluated in one contraction:
 the open strand carries Typical of the batch (lambda-, lambda+) + eps, and
 the evaluation's matrix and its round-off scales are split per summand.
 Each identity-coefficient limit is floored at the round-off of its own
-summand's eps^0 contraction.
+summand's eps^0 contraction.  log_tangle_invariant is the one route from a
+projective-colored tangle to (a, b); its independent oracle is the float
+evaluation on the cover itself, tangle.decompose_endo of eval_tangle on
+make_module(ctx, Projective(i, l)), which shares no jets, recoloring or
+limits with it, and log_hopf_closed gives the Hopf links in closed form.
 
 What the family fixes is built once per context and cover: _family(ctx, i,
 l) holds the batched open module (its E, F and weights, from which rep
@@ -34,26 +38,19 @@ import numpy as np
 from .qnum import QContext, qbracket, qint, qpow
 from .rep import (
     DeformX, OneDim, Projective, RangeError, Simple, Typical, _read_only, _stack,
-    make_deformable, make_module, mat_limit, projective_cover, summand_weights,
+    make_module, projective_cover, summand_weights,
 )
 from .ribbon import NoClosedFormError, RibbonConfig, modified_dim, scalar_of
-from .tangle import (
-    EndoDecomp, TangleExpr, decompose_endo, eval_tangle, hopf_tangle, nilpotent_endo,
-)
+from .tangle import TangleExpr, eval_tangle
 
 __all__ = [
-    "CrossCheckError", "MismatchError", "LogInvariantResult", "DimLimitReport",
-    "log_tangle_invariant", "log_endomorphism", "log_hopf", "log_hopf_closed",
-    "dim_limit_check",
+    "CrossCheckError", "LogInvariantResult", "DimLimitReport",
+    "log_tangle_invariant", "log_hopf_closed", "dim_limit_check",
 ]
 
 
 class CrossCheckError(ArithmeticError):
     """The two independent routes to the same coefficient disagree."""
-
-
-class MismatchError(AssertionError):
-    """Limit machinery and closed forms disagree."""
 
 
 @dataclass
@@ -153,36 +150,6 @@ def _recolored_scalars(cfg: RibbonConfig, expr: TangleExpr, mod):
     mats = [lm.matrix[t] for t in range(n)] if len(lm.matrix.shape) > 2 else [lm.matrix] * n
     scale, scale0 = np.broadcast_to(lm.scale, n), np.broadcast_to(lm.scale0, n)
     return [(scalar_of(mats[t], mod.dim, cfg.ctx.tol, scale[t]), scale0[t]) for t in range(n)]
-
-
-def log_endomorphism(cfg: RibbonConfig, expr: TangleExpr):
-    """The tangle endomorphism evaluated on the jet family, limited to eps = 0.
-
-    Returns the numeric endomorphism of the projective cover together with
-    its (a, b) decomposition; existence of the limit is the commutation of
-    structure maps with limits, so a PoleError here flags a real defect.
-    """
-    ctx = cfg.ctx
-    i, l = _open_indices(ctx, expr.open_color)
-    xj = make_deformable(ctx, i, l, ctx.eps())
-    lm = eval_tangle(cfg, expr, open_module=xj)
-    endo = mat_limit(lm.matrix)
-    x0 = make_module(ctx, Projective(i, l))
-    return endo, decompose_endo(endo, x0)
-
-
-def log_hopf(cfg: RibbonConfig, z_label, j: int, l: int) -> EndoDecomp:
-    """Hopf-link coefficients on the projective cover, checked against closed forms."""
-    expr = hopf_tangle(Projective(j, l), z_label)
-    res = log_tangle_invariant(cfg, expr)
-    ca, cb = log_hopf_closed(cfg.ctx, z_label, j, l)
-    err = max(abs(res.a - ca) / max(1.0, abs(ca)), abs(res.b - cb) / max(1.0, abs(cb)))
-    if err > 1e-8:
-        raise MismatchError(
-            f"limit machinery vs closed form for {z_label}: "
-            f"a {res.a} vs {ca}, b {res.b} vs {cb}")
-    x0 = make_module(cfg.ctx, Projective(j, l))
-    return EndoDecomp(res.a, res.b, (np.eye(x0.dim), nilpotent_endo(x0)), err)
 
 
 def log_hopf_closed(ctx: QContext, z_label, j: int, l: int):

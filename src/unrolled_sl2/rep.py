@@ -333,13 +333,6 @@ def mat_norm(m) -> float:
     return float(np.max(np.abs(m))) if np.asarray(m).size else 0.0
 
 
-def mat_limit(m):
-    """Entrywise eps -> 0 limit of a (possibly jet) matrix."""
-    if isinstance(m, Jet):
-        return m.limit()
-    return np.asarray(m, dtype=complex)
-
-
 # ---------------------------------------------------------------------------
 # constructors
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .qnum import QContext
 from .rep import OneDim, Projective, Simple, Sum, Typical, _fmt_num, is_typical_weight, parse_complex
-from .ribbon import RibbonConfig
+from .ribbon import RibbonConfig, _bracket_ratio
 from .tangle import hopf_tangle, renormalized_invariant
 from .deform import log_tangle_invariant
 
@@ -188,13 +188,16 @@ def qdim_reg(ctx: QContext, label, eps: complex):
 
 
 def _qdim_continuous(ctx: QContext, label, eps: complex):
+    """exp(pi eps x) sin(pi s am eps i) / sin(pi am eps i), with s = r (so
+    s am = -ap) for a Fock label; the sine ratio is {s beta}/{beta} at beta =
+    r am eps i, which keeps its removable limit at eps = i n sqrt(r/2)."""
     ap, am, a0 = alpha_plus(ctx), alpha_minus(ctx), alpha_zero(ctx)
-    qe = lambda x: np.exp(np.pi * eps * x)
-    denom = np.sin(np.pi * am * eps * 1j)
+    beta = ctx.r * am * eps * 1j
     if isinstance(label, Fock):
-        return complex(qe(2 * label.lam - a0) * np.sin(-np.pi * ap * eps * 1j) / denom)
-    t, s = label.t, label.s
-    return complex(qe(-(t - 1) * ap) * np.sin(np.pi * s * am * eps * 1j) / denom)
+        x, s = 2 * label.lam - a0, ctx.r
+    else:
+        x, s = -(label.t - 1) * ap, label.s
+    return complex(np.exp(np.pi * eps * x) * _bracket_ratio(ctx, s, beta))
 
 
 def _qdim_strip(ctx: QContext, label, m: int):

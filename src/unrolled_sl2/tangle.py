@@ -17,6 +17,8 @@ never as a dense matrix.
 
 On a projective cover, End(P) = span(Id, x) is read off the basis
 (rep.deformable_layout), not solved for; rep.hom_space is its oracle.
+decompose_endo of a float evaluation on the cover gives (a, b) without
+jets or limits, the oracle for the deformation route (deform).
 
 The state is stored as (*B, rows, batch): rows index the tensor product of
 the strands, batch the open module's basis, and B the summand axes of a
@@ -456,10 +458,9 @@ def eval_tangle(cfg: RibbonConfig, expr: TangleExpr,
     return LinearMap(open_module, open_module, state, scale, scale0)
 
 
-def renormalized_invariant(cfg: RibbonConfig, expr: TangleExpr,
-                           open_module: WeightModule | None = None):
+def renormalized_invariant(cfg: RibbonConfig, expr: TangleExpr):
     """Modified trace of the tangle endomorphism on a generic open color."""
-    lm = eval_tangle(cfg, expr, open_module)
+    lm = eval_tangle(cfg, expr)
     return modified_trace(lm.source, lm)
 
 
@@ -469,7 +470,6 @@ class EndoDecomp:
 
     a: complex
     b: complex
-    basis: tuple
     residual: float
 
 
@@ -507,12 +507,11 @@ def decompose_endo(f, p: WeightModule) -> EndoDecomp:
         raise NotEndomorphismError(f"map does not commute with the action (residual {res:.2e})")
     heads, socles = _head_socle(p)
     a, b = complex(mat[heads[-1], heads[-1]]), complex(mat[socles[-1], heads[-1]])
-    x = nilpotent_endo(p)
-    recon = a * np.eye(p.dim) + b * x
+    recon = a * np.eye(p.dim) + b * nilpotent_endo(p)
     resid = float(np.max(np.abs(recon - mat)) / max(1.0, np.max(np.abs(mat))))
     if resid > p.ctx.tol * 100:
         raise NotEndomorphismError(f"endomorphism is outside span(Id, x) (residual {resid:.2e})")
-    return EndoDecomp(a, b, (np.eye(p.dim), x), resid)
+    return EndoDecomp(a, b, resid)
 
 
 # ---------------------------------------------------------------------------

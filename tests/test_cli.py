@@ -250,10 +250,21 @@ def test_overflowing_literal_is_usage_error(capsys, argv):
     assert err.startswith("error: bad c") and "1e400" in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf"])
+_TOL_ERRORS = {
+    "nan": "error: tolerance must be finite and positive",
+    "inf": "error: tolerance must be finite and positive",
+    # finite, but the fixed ribbon convention fails its anchors at it
+    "10": "error: the ribbon convention misses the Hopf anchors",
+    "1e-30": "error: open Hopf link with closed color Typical(alpha=0.377) is not scalar",
+}
+
+
+@pytest.mark.parametrize("tol", list(_TOL_ERRORS))
 def test_non_finite_tolerance_is_usage_error(capsys, tol):
+    """A tolerance the context or the fixed ribbon convention cannot work with
+    exits 2 with one error line."""
     code, out, err = run(capsys, "loghopf", "--r", "3", "--tol", tol, "--Z", "V(0.3)",
                          "--j", "0", "--l", "0")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: tolerance must be finite and positive") and err.count("\n") == 1
+    assert err.startswith(_TOL_ERRORS[tol]) and err.count("\n") == 1

@@ -6,16 +6,13 @@ import pytest
 from unrolled_sl2 import deform, tangle
 from unrolled_sl2.jets import Jet
 from unrolled_sl2.qnum import QContext
-from unrolled_sl2.rep import DeformX, Projective, RangeError, Simple, Typical
+from unrolled_sl2.rep import DeformX, Projective, RangeError, Simple, Typical, make_module
 from unrolled_sl2.ribbon import get_config, modified_dim
 from unrolled_sl2.tangle import (
-    Insert, TangleExpr, eval_tangle, hopf_tangle, parse_tangle, random_braid_tangle,
-    twist_loop_tangle,
+    Insert, TangleExpr, decompose_endo, eval_tangle, hopf_tangle, parse_tangle,
+    random_braid_tangle, twist_loop_tangle,
 )
-from unrolled_sl2.deform import (
-    _family, dim_limit_check, log_endomorphism, log_hopf, log_hopf_closed,
-    log_tangle_invariant,
-)
+from unrolled_sl2.deform import _family, dim_limit_check, log_hopf_closed, log_tangle_invariant
 
 
 def test_empty_tangle_gives_dimension_and_identity():
@@ -39,7 +36,7 @@ def test_log_hopf_matches_closed_forms(r):
             if r > 2:
                 zs += [Simple(r - 2, 0), Projective(r - 2, 1)]
             for z in zs:
-                d = log_hopf(cfg, z, j, l)  # raises MismatchError on disagreement
+                d = log_tangle_invariant(cfg, hopf_tangle(Projective(j, l), z))
                 ca, cb = log_hopf_closed(ctx, z, j, l)
                 assert d.a == pytest.approx(ca, abs=1e-9)
                 assert d.b == pytest.approx(cb, rel=1e-8, abs=1e-9)
@@ -55,7 +52,7 @@ def test_log_hopf_large_twists_keep_the_constant(r):
     for k in (53, 150, 1000):
         for i in range(r - 1):
             for j in range(r - 1):
-                d = log_hopf(cfg, Simple(i, k), j, 0)  # raises MismatchError on disagreement
+                d = log_tangle_invariant(cfg, hopf_tangle(Projective(j, 0), Simple(i, k)))
                 ca, cb = log_hopf_closed(ctx, Simple(i, k), j, 0)
                 assert abs(ca) > 0.5
                 assert d.a == pytest.approx(ca, rel=1e-9)
@@ -64,14 +61,14 @@ def test_log_hopf_large_twists_keep_the_constant(r):
 
 def test_log_hopf_huge_twists_keep_b_at_r6():
     """At r = 6 the Cartan factor's arguments reach k r lambda ~ 1e4 for k =
-    +-1000; reducing them modulo 2r before exp keeps b to the 1e-8 check of
-    log_hopf."""
+    +-1000; reducing them modulo 2r before exp keeps b within 1e-8 of the
+    closed form."""
     ctx = QContext(6)
     cfg = get_config(ctx)
     for k in (1000, -1000):
         for i in range(ctx.r - 1):
             for j in range(ctx.r - 1):
-                d = log_hopf(cfg, Simple(i, k), j, 0)  # raises MismatchError on disagreement
+                d = log_tangle_invariant(cfg, hopf_tangle(Projective(j, 0), Simple(i, k)))
                 ca, cb = log_hopf_closed(ctx, Simple(i, k), j, 0)
                 assert d.a == pytest.approx(ca, rel=1e-9, abs=1e-9)
                 assert d.b == pytest.approx(cb, rel=1e-8, abs=1e-9)
@@ -80,51 +77,61 @@ def test_log_hopf_huge_twists_keep_b_at_r6():
 def test_unit_closed_color():
     ctx = QContext(3)
     cfg = get_config(ctx)
-    d = log_hopf(cfg, Simple(0, 0), 1, 0)
+    d = log_tangle_invariant(cfg, hopf_tangle(Projective(1, 0), Simple(0, 0)))
     assert d.a == pytest.approx(1.0)
     assert abs(d.b) < 1e-9
 
 
-def test_x_route_decomposition_matches_quotient_route():
-    ctx = QContext(3)
+def _closed_colors(rng, r):
+    """One generic, one simple and one projective closed color, drawn by rng."""
+    return [Typical(complex(rng.uniform(0.2, 1.8), rng.uniform(-0.5, 0.5))),
+            Simple(int(rng.integers(0, r - 1)), int(rng.integers(-1, 2))),
+            Projective(int(rng.integers(0, r - 1)), int(rng.integers(-1, 2)))]
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_float_on_the_cover_matches_the_deformation_route(r):
+    """Float-on-P oracle: the tangle evaluated on the projective cover itself
+    and decomposed as a Id + b x gives the (a, b) of the deformation route.
+    It shares no jets, no recoloring and no limits with that route.  Hopf
+    links with each kind of closed color, both twist loops, and three random
+    10-crossing words per cover."""
+    cfg = get_config(QContext(r))
+    rng = np.random.default_rng(100 + r)
+    for P in [Projective(i, l) for i in range(r - 1) for l in (-1, 0, 1)]:
+        exprs = [hopf_tangle(P, z) for z in _closed_colors(rng, r)]
+        exprs += [twist_loop_tangle(P, 1), twist_loop_tangle(P, -1)]
+        exprs += [random_braid_tangle(rng, P, z, max_crossings=10) for z in _closed_colors(rng, r)]
+        p = make_module(cfg.ctx, P)
+        for expr in exprs:
+            res = log_tangle_invariant(cfg, expr)
+            dec = decompose_endo(eval_tangle(cfg, expr), p)
+            assert abs(dec.a - res.a) <= 1e-9 * max(1.0, abs(res.a)), str(expr)
+            assert abs(dec.b - res.b) <= 1e-9 * max(1.0, abs(res.b)), str(expr)
+
+
+def _socle_trace(r, j, l):
+    """Modified trace of the nilpotent endomorphism x of P(j, l)."""
+    lam = 1 + j - r + l * r
+    return ((-1) ** ((r - 1 + lam) % 2) * np.sin(np.pi * lam / r) * np.sin(np.pi * (1 + j) / r)
+            / np.sin(np.pi / r) ** 2)
+
+
+@pytest.mark.parametrize("r, l", [(r, l) for r in range(2, 7) for l in (-1, 0, 1)])
+def test_random_tangles_cross_checks_and_socle_trace_constancy(r, l):
+    """trace = a d(P) + b t(x) on random words: the socle trace t(x) is a
+    module invariant with a closed form."""
+    ctx = QContext(r)
     cfg = get_config(ctx)
-    rng = np.random.default_rng(17)
-    for j, l in [(0, 0), (1, 0), (0, -1)]:
-        for z in (Typical(0.91), Simple(1, 1), Projective(0, 0)):
-            t = hopf_tangle(Projective(j, l), z)
-            res = log_tangle_invariant(cfg, t)
-            _, dec = log_endomorphism(cfg, t)
-            assert dec.a == pytest.approx(res.a, abs=1e-8)
-            assert dec.b == pytest.approx(res.b, rel=1e-7, abs=1e-8)
-
-
-def test_random_tangles_cross_checks_and_socle_trace_constancy():
-    ctx = QContext(3)
-    cfg = get_config(ctx)
-    rng = np.random.default_rng(23)
-    tx_seen = []
-    for _ in range(10):
-        z = [Typical(float(rng.uniform(0.2, 1.8))), Simple(1, 0), Projective(0, 1)][int(rng.integers(0, 3))]
-        t = random_braid_tangle(rng, Projective(1, 0), z)
-        res = log_tangle_invariant(cfg, t)  # raises CrossCheckError internally
-        assert res.residual_cross_check < 1e-7
-        if abs(res.b) > 1e-6:
-            tx = (res.trace - res.a * modified_dim(ctx, Projective(1, 0))) / res.b
-            tx_seen.append(tx)
-    # the socle trace is a module invariant: identical across all tangles
-    assert len(tx_seen) >= 2
-    for tx in tx_seen[1:]:
-        assert tx == pytest.approx(tx_seen[0], rel=1e-6)
-
-
-def test_twistloop_on_projective_color():
-    ctx = QContext(3)
-    cfg = get_config(ctx)
-    t = twist_loop_tangle(Projective(0, 0), 1)
-    res = log_tangle_invariant(cfg, t)
-    endo, dec = log_endomorphism(cfg, t)
-    assert dec.a == pytest.approx(res.a, abs=1e-8)
-    assert dec.b == pytest.approx(res.b, rel=1e-7, abs=1e-8)
+    rng = np.random.default_rng(23 + 10 * r + l)
+    for j in range(r - 1):
+        P = Projective(j, l)
+        d, t = modified_dim(ctx, P), _socle_trace(r, j, l)
+        for z in _closed_colors(rng, r):
+            res = log_tangle_invariant(cfg, random_braid_tangle(rng, P, z, max_crossings=10))
+            assert res.residual_cross_check < 1e-7
+            want = res.a * d + res.b * t
+            assert abs(res.trace - want) <= 1e-9 * max(1.0, abs(res.a * d), abs(res.b * t))
 
 
 @pytest.mark.parametrize("open_color", [Projective(5, 0), Projective(-1, 0), DeformX(5, 0, 0.0)])
@@ -135,7 +142,7 @@ def test_projective_index_out_of_range(open_color):
     with pytest.raises(RangeError):
         log_tangle_invariant(cfg, t)
     with pytest.raises(RangeError):
-        log_endomorphism(cfg, t)
+        eval_tangle(cfg, t)
 
 
 @pytest.mark.parametrize("r", [2, 3, 5])

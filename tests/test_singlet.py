@@ -67,6 +67,22 @@ def test_qdim_continuous_sum_form():
                 assert got == pytest.approx(want, rel=1e-10)
 
 
+@pytest.mark.parametrize("r", [2, 3, 5])
+def test_qdim_continuous_at_the_removable_points(r):
+    """At eps = i n sqrt(r/2), eps = 0 included, both sine ratios are 0/0; the
+    dimension is their removable limit, continuous in eps."""
+    ctx = QContext(r)
+    labels = [Fock(0.3 - 0.2j), Fock(-1.1)] + [Atyp(t, s) for t in (-1, 1, 2)
+                                                for s in range(1, r + 1)]
+    for n in (0, 1, 2):
+        eps = 1j * n * np.sqrt(r / 2)
+        assert regime_of(ctx, eps).kind == "continuous"
+        for lab in labels:
+            val = qdim_reg(ctx, lab, eps)
+            assert np.isfinite(val)
+            assert abs(val - qdim_reg(ctx, lab, eps + 1e-7)) <= 1e-5 * max(1.0, abs(val))
+
+
 def test_boundary_label_is_fock():
     """The column-r atypical has the dimension of its Fock realization."""
     rng = np.random.default_rng(4)
