@@ -110,6 +110,31 @@ def test_float_on_the_cover_matches_the_deformation_route(r):
             assert abs(dec.b - res.b) <= 1e-9 * max(1.0, abs(res.b)), str(expr)
 
 
+def test_x_route_decomposition_matches_quotient_route():
+    """Hopf links at r = 3: a Id + b x read off the cover agrees with the
+    deformation route."""
+    ctx = QContext(3)
+    cfg = get_config(ctx)
+    for j, l in [(0, 0), (1, 0), (0, -1)]:
+        p = make_module(ctx, Projective(j, l))
+        for z in (Typical(0.91), Simple(1, 1), Projective(0, 0)):
+            t = hopf_tangle(Projective(j, l), z)
+            res = log_tangle_invariant(cfg, t)
+            dec = decompose_endo(eval_tangle(cfg, t), p)
+            assert dec.a == pytest.approx(res.a, abs=1e-8)
+            assert dec.b == pytest.approx(res.b, rel=1e-7, abs=1e-8)
+
+
+def test_twistloop_on_projective_color():
+    ctx = QContext(3)
+    cfg = get_config(ctx)
+    t = twist_loop_tangle(Projective(0, 0), 1)
+    res = log_tangle_invariant(cfg, t)
+    dec = decompose_endo(eval_tangle(cfg, t), make_module(ctx, Projective(0, 0)))
+    assert dec.a == pytest.approx(res.a, abs=1e-8)
+    assert dec.b == pytest.approx(res.b, rel=1e-7, abs=1e-8)
+
+
 def _socle_trace(r, j, l):
     """Modified trace of the nilpotent endomorphism x of P(j, l)."""
     lam = 1 + j - r + l * r
