@@ -11,7 +11,7 @@ its own L'Hopital evaluation.
 Precision bookkeeping: a jet of length n knows the coefficients of
 eps^m for val <= m < val + n and that all lower coefficients vanish.
 Binary operations keep the largest honestly-known range, so lengths may
-shrink through cancellation-heavy expressions; seed with enough order
+shrink where a normalized jet meets others; seed with enough order
 (QContext.jet_order) to absorb that.
 
 Products (*, @, kron, combine) loop over one operand's coefficient slices
@@ -22,18 +22,20 @@ a zero-padded jet: it is one call against the stack.  In *, the lower-rank
 stack is padded so that a scalar jet broadcasts across entries and not
 across orders; in @, on either side, a matrix stack is padded to the other
 operand's rank, so a gate jet broadcasts over the batch axes of a state,
-and a batched plain gate over those of a jet state.  + and - add a
-plain operand into the eps^0 slice without promoting it.
+and a batched plain gate over those of a jet state.  + and - take a plain
+operand as the constant jet as_jet(plain, order) and add on the shared
+precision range.
 
-Zero detection follows two rules.  Arithmetic trims a leading slice only
-where it cancelled in addition (|a_k + b_k| <= ztol (|a_k| + |b_k|)
-entrywise) or where it is exactly zero (reciprocal, inv, exp, sin), so a
-genuinely small coefficient is kept however large the higher orders are.
-Where a limit is read, normalized(), and through it limit() and
-derivative(), trims below ztol times the largest coefficient of the slices
-up to the one read (eps^0 for limit, eps^n for derivative(n), the whole jet
-when no upto is given) plus the caller's absolute floor atol; callers that
-know the scale of what cancelled pass it as atol there.
+Zero detection has one rule, normalized(), and whoever reads or inverts a
+jet calls it; arithmetic never trims, so a slice that cancelled in + or -
+stays in the sum, exact zero or round-off.  normalized(ztol, atol, upto)
+drops leading slices below ztol times the largest coefficient of the slices
+up to exponent upto (the whole jet when no upto is given) or below the
+caller's absolute floor atol.  limit() reads eps^0 and derivative(n) eps^n
+through it, and callers that know the scale of what cancelled pass it as
+atol there.  reciprocal, inv, exp and sin call normalized(0.0), which drops
+only exactly-zero slices, so a genuinely small coefficient is kept however
+large the higher orders are.
 
 The analytic functions exp() and sin() act entrywise on jets of any shape.
 """
@@ -107,9 +109,8 @@ class Jet:
         reader of the eps^upto coefficient passes upto, so large higher
         orders cannot trim a genuine coefficient below them; the floor is
         how callers communicate the scale of cancelled operands, so an
-        all-noise jet normalizes to zero instead of faking a pole.  This
-        rule is for the limit points (limit, derivative) and explicit calls;
-        addition uses the narrower operand-relative rule of __add__.
+        all-noise jet normalizes to zero instead of faking a pole.  This is
+        the only place a leading slice is dropped; arithmetic never trims.
         """
         s = self.norm(upto)
         if s == 0.0 or s <= atol:
@@ -125,12 +126,7 @@ class Jet:
             return self
         return Jet(self.c[k:].copy(), self.val + k)
 
-    # -- promotion / alignment -------------------------------------------
-
-    def _promote(self, other) -> "Jet":
-        if isinstance(other, Jet):
-            return other
-        return as_jet(other, self.order)
+    # -- alignment -------------------------------------------------------
 
     def _placed(self, val: int, n: int, shape) -> np.ndarray:
         """This stack on n slices from valuation val, truncated there, with the
@@ -157,30 +153,15 @@ class Jet:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        """Sum, trimming leading slices that cancelled against their own operands.
+        """Sum on the shared precision range, with no slice trimmed.
 
-        Slice k is dropped while |a_k + b_k| <= ztol (|a_k| + |b_k|) holds
-        entrywise, so (1 + eps) - 1 has valuation 1 while a small constant
-        next to large higher orders is kept.  A plain operand is a constant
-        known to this jet's precision: it is added into the eps^0 slice, with
-        the values and the trim of the sum with as_jet(other, self.order).
+        A plain operand is a constant known to this jet's precision, added as
+        as_jet(other, self.order).  A slice that cancels stays as it came out,
+        so (1 + eps) - 1 has valuation 0 and an exactly zero eps^0 slice; the
+        reader drops it with normalized(), limit() or derivative().
         """
-        if isinstance(other, Jet):
-            val, ca, cb = self._aligned(self, other)
-            c = ca + cb
-            mag = lambda k: np.abs(ca[k]) + np.abs(cb[k])
-        else:
-            b = np.asarray(other, dtype=complex)
-            val = min(self.val, 0)
-            ca = self._placed(val, self.order, np.broadcast_shapes(self.shape, b.shape))
-            c = ca.copy()
-            if -val < len(c):
-                c[-val] += b
-            mag = lambda k: np.abs(ca[k]) + np.abs(b) if k == -val else np.abs(ca[k])
-        for k in range(len(c)):
-            if not np.all(np.abs(c[k]) <= _ZTOL * mag(k)):
-                return Jet(c[k:], val + k)
-        return Jet(np.zeros((1, *c.shape[1:])), 0)
+        val, ca, cb = self._aligned(self, as_jet(other, self.order))
+        return Jet(ca + cb, val)
 
     __radd__ = __add__
 
@@ -253,7 +234,7 @@ class Jet:
         return Jet(out, -j.val)
 
     def __truediv__(self, other):
-        return self * self._promote(other).reciprocal()
+        return self * as_jet(other, self.order).reciprocal()
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other

@@ -256,11 +256,13 @@ def coev_right(cfg, m: WeightModule):
 
 def modified_dim(ctx: QContext, label):
     """Closed-form modified dimension of a module label on the projective
-    ideal; additive on sums."""
+    ideal; additive on sums.  A projective cover, Projective(i, k) or
+    DeformX(i, k, 0), takes the closed form."""
     if isinstance(label, Typical):
         return _dim_typical(ctx, label.alpha)
-    if isinstance(label, Projective):
-        i, k = label.i, label.k
+    cover = projective_cover(label)
+    if cover is not None:
+        i, k = cover
         return ((-1) ** (k * (ctx.r - 1) + i + 1)
                 * (qpow(ctx, i + 1) + qpow(ctx, -(i + 1))))
     if isinstance(label, DeformX):
@@ -395,11 +397,13 @@ def calibrate(ctx: QContext) -> RibbonConfig:
                 got = scalar_of(lm.matrix, lm.source.dim, ctx.tol, lm.scale)
             except NonScalarError as exc:
                 raise CalibrationError(
-                    f"open Hopf link with closed color {lab} is not scalar: {exc}") from exc
+                    f"open Hopf link with closed color {lab} is not scalar: {exc}"
+                    f" at tol {ctx.tol}") from exc
             want = hopf_closed_form(ctx, lab, beta)
             worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     if not worst < 1e-8:
         raise CalibrationError(
-            f"the ribbon convention misses the Hopf anchors (max rel error {worst:.2e})")
+            f"the ribbon convention misses the Hopf anchors (max rel error {worst:.2e})"
+            f" at tol {ctx.tol}")
     cfg.max_rel_error = worst
     return cfg

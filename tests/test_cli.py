@@ -268,3 +268,5 @@ def test_non_finite_tolerance_is_usage_error(capsys, tol):
     assert code == 2
     assert out == ""
     assert err.startswith(_TOL_ERRORS[tol]) and err.count("\n") == 1
+    if tol in ("10", "1e-30"):  # the calibration failure names the tolerance
+        assert err.rstrip().endswith(f"at tol {float(tol)}")

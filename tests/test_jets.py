@@ -216,20 +216,19 @@ def test_batched_plain_gate_on_an_unbatched_jet_state():
         assert np.max(np.abs(got.c[k] - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-def test_plain_operands_add_like_promoted_ones_bit_for_bit():
-    """+ and - with a plain scalar or array add it into the eps^0 slice, and give
-    the very valuation and coefficients of the sum with as_jet(plain, order),
-    for valuations below, at and above 0 and where the sum cancels.  Every
-    coefficient is the same double; only the sign of an exact zero may differ,
-    as the promoted operand's padding is +0 or, negated, -0."""
+def test_plain_operand_adds_into_the_eps0_slice():
+    """+ and - take a plain scalar or array as a constant jet of the other
+    operand's order: the sum has valuation min(val, 0) and that order, adds
+    the plain operand into the eps^0 slice and keeps every other slice, for
+    valuations below, at and above 0 and where the sum cancels.  Nothing is
+    trimmed; normalized(0.0) drops the slices that cancelled exactly."""
     rng = np.random.default_rng(23)
 
     def rc(order, *shape):
         return rng.normal(size=(order, *shape)) + 1j * rng.normal(size=(order, *shape))
 
-    def same(got, want):
-        assert got.val == want.val and got.c.shape == want.c.shape
-        assert np.array_equal(got.c, want.c)
+    def coef(j, m):
+        return j.c[m - j.val] if 0 <= m - j.val < j.order else 0j
 
     M, x = rc(1, 2, 2)[0], 0.7 - 0.2j
     cases = []
@@ -244,12 +243,29 @@ def test_plain_operands_add_like_promoted_ones_bit_for_bit():
     cases.append((Jet(c, -2), -x))                             # zero lead, cancels at eps^0
     cases.append((Jet(rc(5), 6), x))                           # the constant outruns the jet
     for a, b in cases:
-        p = as_jet(b, a.order)
-        same(a + b, a + p)
-        same(b + a, p + a)
-        same(a - b, a - p)
-        same(b - a, p - a)
-    assert (cases[-3][0] + cases[-3][1]).val == 2
+        sums = [(a + b, 1, 1), (b + a, 1, 1), (a - b, 1, -1), (b - a, -1, 1)]
+        for got, sa, sb in sums:
+            assert got.val == min(a.val, 0) and got.order == a.order
+            for m in range(got.val, got.val + got.order):
+                want = sa * coef(a, m) + (sb * b if m == 0 else 0j)
+                assert np.array_equal(coef(got, m), np.broadcast_to(want, got.shape))
+    cancelled = cases[-3][0] + cases[-3][1]
+    assert cancelled.val == 0 and not cancelled.c[:2].any()
+    assert cancelled.normalized(0.0).val == 2
+    assert (cases[-2][0] + cases[-2][1]).normalized(0.0).val == -1
+
+
+def test_sum_keeps_its_round_off_until_the_reader_drops_it():
+    """0.1 + 0.2 - 0.3 leaves 5.55e-17 at eps^0: the sum keeps it, a limit
+    without a floor reads it, and a reader with a floor or of a higher slice
+    drops it."""
+    e = jet(4)
+    x = ((0.1 + e) + 0.2) - 0.3
+    assert x.val == 0 and x.c[0] == (0.1 + 0.2) - 0.3  # 5.55e-17
+    assert x.limit() == (0.1 + 0.2) - 0.3
+    assert x.limit(atol=1e-15) == 0
+    assert x.derivative(1) == 1
+    assert x.normalized().reciprocal().val == -1
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

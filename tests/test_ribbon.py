@@ -204,6 +204,18 @@ def test_modified_dim_jet_limit_matches_projective():
                 assert abs(lim - want) < 1e-8
 
 
+@pytest.mark.parametrize("r", range(2, 7))
+def test_modified_dim_takes_either_label_of_the_cover(r):
+    """DeformX(i, l, 0) is the projective cover P(i, l), and its modified
+    dimension is the same closed form."""
+    ctx = QContext(r)
+    for i in range(r - 1):
+        for l in (-1, 0, 1):
+            want = modified_dim(ctx, Projective(i, l))
+            assert modified_dim(ctx, DeformX(i, l, 0.0)) == want
+            assert modified_dim(ctx, DeformX(i, l, 0)) == want
+
+
 def test_modified_trace():
     ctx = QContext(4)
     v = make_module(ctx, Typical(0.81))
