@@ -26,6 +26,13 @@ reciprocal of [1+i][eps].  It is an lru_cache keyed by the frozen context's
 value and the two indices, bounded at 128 entries (one round over r = 2..6,
 i <= r - 2, l in {-1, 0, 1} uses 45), and every array of an entry is
 read-only, so an in-place write fails instead of corrupting later calls.
+
+The route reads only eps^0 (the trace and a) and eps^1 (b) of the recolored
+scalars, and slice k of a contraction depends only on slices <= k, so the
+open module carries those two slices at every jet order.  The two simple
+poles, of d and of 1 / [eps], are resolved in the cached scalars, which
+keep the context's jet order.  So the output does not depend on the jet
+order from 3 up; QContext says why 2 is not enough.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .jets import jet
 from .qnum import QContext, qbracket, qint, qpow
 from .rep import (
     DeformX, OneDim, Projective, RangeError, Simple, Typical, _read_only, _stack,
@@ -78,12 +86,14 @@ def _open_indices(ctx: QContext, label):
 @lru_cache(maxsize=128)
 def _family(ctx: QContext, i: int, l: int):
     """(module, d-, d+, 1 / ([1+i][eps])) of the deformable family through
-    P(i, l): Typical of the batch (lambda-, lambda+) + eps, the modified
-    dimension of each summand, and the reciprocal of the quotient route's
-    denominator.  Cached per (context, i, l); every array is read-only."""
+    P(i, l): Typical of the batch (lambda-, lambda+) + eps on two jet slices,
+    the modified dimension of each summand, and the reciprocal of the
+    quotient route's denominator, these three on ctx.eps().  Cached per
+    (context, i, l); every array is read-only."""
     e = ctx.eps()
     lam_m, lam_p = summand_weights(ctx, i, l, e)
-    mod = make_module(ctx, Typical(_stack((lam_m, lam_p))))
+    # the readers of g take eps^0 (the trace and a) and eps^1 (b)
+    mod = make_module(ctx, Typical(_stack(summand_weights(ctx, i, l, jet(2)))))
     entry = (mod, modified_dim(ctx, Typical(lam_m)), modified_dim(ctx, Typical(lam_p)),
              (qint(ctx, 1 + i) * qint(ctx, e)).reciprocal())
     for a in (mod.E, mod.F, mod.weights, mod.label.alpha, *entry[1:]):
@@ -102,7 +112,9 @@ def log_tangle_invariant(cfg: RibbonConfig, expr: TangleExpr) -> LogInvariantRes
     cross-checked to 1e-7 relative.  The recolored open module, the
     summands' modified dimensions and 1 / ([1+i][eps]) come from the
     family cache (_family: keyed by the context's value and (i, l), at most
-    128 entries, read-only), so a call builds none of them.
+    128 entries, read-only), so a call builds none of them.  The tangle is
+    contracted on the module's two slices, eps^0 and eps^1, the only ones
+    read, so the result is the same at every jet order from 3 up.
     """
     ctx = cfg.ctx
     i, l = _open_indices(ctx, expr.open_color)

@@ -31,11 +31,13 @@ jet calls it; arithmetic never trims, so a slice that cancelled in + or -
 stays in the sum, exact zero or round-off.  normalized(ztol, atol, upto)
 drops leading slices below ztol times the largest coefficient of the slices
 up to exponent upto (the whole jet when no upto is given) or below the
-caller's absolute floor atol.  limit() reads eps^0 and derivative(n) eps^n
-through it, and callers that know the scale of what cancelled pass it as
-atol there.  reciprocal, inv, exp and sin call normalized(0.0), which drops
-only exactly-zero slices, so a genuinely small coefficient is kept however
-large the higher orders are.
+caller's absolute floor atol; a jet found zero is zero only through the
+exponents it knew.  limit() reads eps^0 and derivative(n) eps^n through
+it, and callers that know the scale of what cancelled pass it as atol
+there.  Neither reads past its jet's precision: an exponent at or beyond
+val + order raises OrderError, zero slices or not.  reciprocal, inv, exp
+and sin call normalized(0.0), which drops only exactly-zero slices, so a
+genuinely small coefficient is kept however large the higher orders are.
 
 The analytic functions exp() and sin() act entrywise on jets of any shape.
 """
@@ -56,7 +58,7 @@ class PoleError(ArithmeticError):
 
 
 class OrderError(ValueError):
-    """A derivative order beyond the jet's truncation was requested."""
+    """A limit or derivative read a coefficient beyond the jet's truncation."""
 
 
 class Jet:
@@ -111,17 +113,19 @@ class Jet:
         how callers communicate the scale of cancelled operands, so an
         all-noise jet normalizes to zero instead of faking a pole.  This is
         the only place a leading slice is dropped; arithmetic never trims.
+        A jet found zero is returned as the zero known through exponent
+        min(upto, val + order - 1): one zero slice at that valuation, so a
+        reader past what was known gets OrderError, not a zero.
         """
         s = self.norm(upto)
-        if s == 0.0 or s <= atol:
-            return Jet(np.zeros((1, *self.shape)), 0)
+        k = 0 if s > atol else self.order
         thresh = max(ztol * s, atol)
         flat = self.c.reshape(self.order, -1)
-        k = 0
         while k < self.order and np.max(np.abs(flat[k])) <= thresh:
             k += 1
         if k == self.order:
-            return Jet(np.zeros((1, *self.shape)), 0)
+            top = self.val + self.order - 1
+            return Jet(np.zeros((1, *self.shape)), top if upto is None else min(upto, top))
         if k == 0:
             return self
         return Jet(self.c[k:].copy(), self.val + k)
@@ -345,28 +349,28 @@ class Jet:
         return acc if self.shape else complex(acc)
 
     def limit(self, ztol: float = _ZTOL, atol: float = 0.0):
-        """Value at eps = 0; PoleError when the normalized valuation is negative."""
-        j = self.normalized(ztol, atol, upto=0)
-        if j.val < 0:
-            raise PoleError(f"divergent jet (valuation {j.val})")
-        if j.val > 0 or j.is_zero():
-            return np.zeros(self.shape, dtype=complex) if self.shape else 0j
-        return j.c[0].copy() if self.shape else complex(j.c[0])
+        """Value at eps = 0, read as derivative(0) reads it."""
+        out = self._coefficient(0, ztol, atol)
+        return out.copy() if self.shape else complex(out)
 
     def derivative(self, n: int, ztol: float = _ZTOL, atol: float = 0.0):
         """n-th derivative at eps = 0, i.e. n! times the overall eps^n coefficient."""
-        j = self.normalized(ztol, atol, upto=n)
-        if j.is_zero():
-            return np.zeros(self.shape, dtype=complex) if self.shape else 0j
-        if j.val < 0:
-            raise PoleError(f"derivative of a divergent jet (valuation {j.val})")
-        if n >= j.val + j.order:
-            raise OrderError(f"order-{n} derivative exceeds jet precision {j.val + j.order}")
-        k = n - j.val
-        if k < 0:
-            return np.zeros(self.shape, dtype=complex) if self.shape else 0j
-        out = math.factorial(n) * j.c[k]
+        out = math.factorial(n) * self._coefficient(n, ztol, atol)
         return out if self.shape else complex(out)
+
+    def _coefficient(self, n: int, ztol: float, atol: float):
+        """The eps^n coefficient once normalized(ztol, atol, upto=n) has dropped
+        what vanishes.  PoleError when a leading slice of negative exponent
+        survives that; otherwise OrderError when eps^n lies at or beyond
+        val + order of this jet, even if every slice it has is zero."""
+        j = self.normalized(ztol, atol, upto=n)
+        if j.val < 0 and not j.is_zero():
+            raise PoleError(f"divergent jet (valuation {j.val})")
+        if n >= self.val + self.order:
+            raise OrderError(f"eps^{n} is beyond the jet's precision "
+                             f"(known through eps^{self.val + self.order - 1})")
+        k = n - j.val
+        return j.c[k] if k >= 0 else np.zeros(self.shape, dtype=complex)
 
 
 def _batched_kron(x, y):

@@ -33,7 +33,10 @@ class QContext:
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tolerance must be finite and positive, got {self.tol}")
         if self.jet_order < 3:
-            raise ValueError("jet order must be >= 3 (two L'Hopital passes plus margin)")
+            raise ValueError(
+                f"jet order must be >= 3, got {self.jet_order}: at order n a modified "
+                "dimension d(lambda + eps) has valuation -1 and n - 1 slices, so it is "
+                "known through eps^(n-3), and the trace reads eps^0 of g * d")
         object.__setattr__(self, "q", complex(np.exp(1j * np.pi / self.r)))
 
     def eps(self) -> Jet:

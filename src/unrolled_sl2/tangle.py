@@ -454,7 +454,7 @@ def eval_tangle(cfg: RibbonConfig, expr: TangleExpr,
         scale, scale0 = np.maximum(scale, peak), np.maximum(scale0, peak0)
 
     if open_module.is_jet and not isinstance(state, Jet):  # no jet gate was applied
-        state = as_jet(state, ctx.jet_order)
+        state = as_jet(state, open_module.weights.order)
     return LinearMap(open_module, open_module, state, scale, scale0)
 
 

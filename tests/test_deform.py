@@ -242,6 +242,44 @@ def test_family_cache_is_keyed_by_the_context_value():
     assert info.maxsize is not None and info.maxsize >= 45
 
 
+def test_family_contracts_two_slices_and_keeps_its_scalars_at_the_jet_order():
+    """The open module is a two-slice jet at every jet order, and d(lambda +-
+    eps) and 1 / ([1+i][eps]) stay at the context's; at the least order, 3,
+    d has val -1 and val + order == 1, so it is known through eps^0, the
+    slice of g * d that the trace reads."""
+    for n in (3, 6, 8):
+        mod, dm, dp, inv_b = _family(QContext(4, jet_order=n), 1, 0)
+        assert (mod.weights.val, mod.weights.order) == (0, 2)
+        assert (dm.val, dm.order) == (dp.val, dp.order) == (-1, n - 1)
+        assert (inv_b.val, inv_b.order) == (-1, n)
+    with pytest.raises(ValueError, match=r"known through eps\^\(n-3\)"):
+        QContext(4, jet_order=2)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_the_route_does_not_depend_on_the_jet_order(r):
+    """log_tangle_invariant gives the same floats at jet orders 3, 6 and 8 on
+    Hopf links, both twist loops, two random words per cover and a closed
+    component unlinked from the open strand, whose matrix is a two-slice jet."""
+    cfgs = [get_config(QContext(r, jet_order=n)) for n in (3, 6, 8)]
+    rng = np.random.default_rng(300 + r)
+    for i in range(r - 1):
+        for l in (-1, 0, 1):
+            P = Projective(i, l)
+            unlinked = parse_tangle(f"open P({i},{l}) | insert 2 S({r - 2},1); evR 2")
+            exprs = [hopf_tangle(P, z) for z in (Typical(0.37 + 0.11j), Simple(r - 2, 1))]
+            exprs += [twist_loop_tangle(P, 1), twist_loop_tangle(P, -1), unlinked]
+            exprs += [random_braid_tangle(rng, P, z, max_crossings=10)
+                      for z in (Typical(-0.8 + 0.3j), Simple(0, -1))]
+            for expr in exprs:
+                res = [log_tangle_invariant(cfg, expr) for cfg in cfgs]
+                assert res[0] == res[1] == res[2], str(expr)
+            for cfg in cfgs:
+                mod = _family(cfg.ctx, i, l)[0]
+                assert mod.weights.order == 2
+                assert eval_tangle(cfg, unlinked, open_module=mod).matrix.order == 2
+
+
 def _arrays(obj):
     """Every ndarray reachable from obj through tuples, jets and instance dicts."""
     if isinstance(obj, np.ndarray):

@@ -48,11 +48,14 @@ def test_inverses_keep_a_small_genuine_constant():
 
 
 def test_pole_errors():
+    """A known negative leading slice that survives the floor is a pole,
+    even when the slice read lies past the jet's precision."""
     e = jet(6)
-    with pytest.raises(PoleError):
-        (1 / e).limit()
-    with pytest.raises(PoleError):
-        (1 / e).derivative(1)
+    for x in (1 / e, Jet([1.0], -1), Jet([1.0, 2.0], -1), Jet([1e-20, 1.0], -2)):
+        with pytest.raises(PoleError):
+            x.limit(atol=1e-10)
+        with pytest.raises(PoleError):
+            x.derivative(1, atol=1e-10)
 
 
 def test_exp_and_sin_match_numeric():
@@ -88,9 +91,39 @@ def test_exp_of_positive_valuation():
 
 
 def test_derivative_order_error():
+    """A jet's zero slices say nothing beyond val + order: an all-zero jet
+    refuses a derivative past it like any other, and a floored eps^-1
+    slice leaves eps^0 unknown rather than zero."""
     e = jet(4)
     with pytest.raises(OrderError):
         e.derivative(7)
+    with pytest.raises(OrderError):
+        Jet([0, 0], 0).derivative(2)
+    with pytest.raises(OrderError):
+        Jet([1, 2], 0).derivative(2)
+    with pytest.raises(OrderError):
+        Jet([1e-20], -1).limit(atol=1e-10)
+    assert Jet([0, 0], 0).derivative(1) == 0
+
+
+def test_normalized_zero_is_zero_through_what_was_known():
+    """normalized() gives its all-zero result as zero through exponent
+    min(upto, val + order - 1), whether the floor or exact zeros made it."""
+    x = Jet([1e-12, 1e-13, 5.0], 0)
+    for z, top in ((x.normalized(atol=1e-9, upto=1), 1),
+                   (Jet([1e-12], 0).normalized(atol=1e-9, upto=1), 0),
+                   (Jet([0, 0, 0], -1).normalized(), 1), (Jet([0, 0], 0).normalized(upto=3), 1)):
+        assert z.is_zero() and (z.val, z.order) == (top, 1)
+
+
+def test_zero_times_a_pole_is_zero():
+    """A zero known through eps^1, times 1/eps, is a zero known through eps^0."""
+    e = jet(3)
+    z = ((1 + e) - (1 + e)).normalized(upto=1)
+    assert (z * e.reciprocal()).limit() == 0
+    assert (z / e).limit() == 0
+    with pytest.raises(OrderError):
+        (z / e).derivative(1)
 
 
 def test_matrix_jets_matmul_and_inv():

@@ -8,7 +8,7 @@ import pytest
 from unrolled_sl2 import deform, ribbon
 from unrolled_sl2.jets import Jet, PoleError, as_jet
 from unrolled_sl2.qnum import QContext, qbracket, qfact, qint, qpow
-from unrolled_sl2.rep import Projective, Simple, make_module
+from unrolled_sl2.rep import Projective, Simple, Typical, _stack, make_module, summand_weights
 
 RS = [2, 3, 4, 5, 6]
 
@@ -218,19 +218,17 @@ def test_exp_and_sin_keep_zero_slices_and_their_trim():
     assert e.sin().val == 1
 
 
-@pytest.mark.parametrize("r", RS)
-def test_family_cartan_and_twist_phases_match_the_taylor_loop(monkeypatch, r):
-    """Every jet that the crossings and twists of the deformation families
-    pass to qpow: linear Cartan exponents against a float module, quadratic
-    ones of a family against itself, and the quadratic twist exponents."""
-    ctx = QContext(r)
+def _family_phase_exponents(monkeypatch, ctx, module_of):
+    """The jets that the crossings and twists of every deformation family
+    pass to qpow, on the batched module module_of(i, l): crossings with two
+    float modules each way, with itself, and both twists."""
     cfg = ribbon.get_config(ctx)
     seen = []
     monkeypatch.setattr(ribbon, "qpow", lambda ctx, x: seen.append(x) or qpow(ctx, x))
-    closed = [make_module(ctx, lab) for lab in (Simple(r - 2, 1), Projective(0, -1))]
-    for i in range(r - 1):
+    closed = [make_module(ctx, lab) for lab in (Simple(ctx.r - 2, 1), Projective(0, -1))]
+    for i in range(ctx.r - 1):
         for l in (-1, 0, 1):
-            mod = deform._family(ctx, i, l)[0]
+            mod = module_of(i, l)
             for sign in (1, -1):
                 for z in closed:
                     ribbon.crossing(cfg, mod, z, sign)
@@ -238,8 +236,23 @@ def test_family_cartan_and_twist_phases_match_the_taylor_loop(monkeypatch, r):
                 ribbon.crossing(cfg, mod, mod, sign)
                 ribbon.twist_matrix(cfg, mod, sign)
     jets = [x for x in seen if isinstance(x, Jet)]
-    assert len(jets) == 3 * (r - 1) * 2 * 6
-    assert {int(np.count_nonzero(x.c[2])) > 0 for x in jets} == {False, True}
-    for x in jets:
+    assert len(jets) == 3 * (ctx.r - 1) * 2 * 6
+    return jets
+
+
+@pytest.mark.parametrize("r", RS)
+def test_family_cartan_and_twist_phases_match_the_taylor_loop(monkeypatch, r):
+    """The family's exponents are two-slice jets (eps^0 and eps^1), linear
+    against a float module and quadratic on its self-crossing and twist;
+    the same gates on a module at the context's full jet order keep the
+    quadratic eps^2 slices covered.  All match the Taylor loop to the bit."""
+    ctx = QContext(r)
+    for x in _family_phase_exponents(monkeypatch, ctx, lambda i, l: deform._family(ctx, i, l)[0]):
+        assert (x.val, x.order) == (0, 2)
+        _assert_same_bits(qpow(ctx, x), _qpow_series(ctx, x))
+    full = _family_phase_exponents(monkeypatch, ctx, lambda i, l: make_module(
+        ctx, Typical(_stack(summand_weights(ctx, i, l, ctx.eps())))))
+    assert {int(np.count_nonzero(x.c[2])) > 0 for x in full} == {False, True}
+    for x in full:
         assert x.val == 0 and not x.c[3:].any()
         _assert_same_bits(qpow(ctx, x), _qpow_series(ctx, x))
