@@ -2,9 +2,10 @@
 
 Subcommands: repcheck, hopf, loghopf, tangle, qdim, fusion, compare, sweep,
 calibrate.  Exit codes: 0 on success, 1 when a computed value misses its
-reference or two routes to it disagree, 2 on usage errors.  All numeric
-output is rounded to 12 significant digits before serialization, so
-identical invocations are byte-identical.
+reference or a projective tangle's two summands give different identity
+coefficients, 2 on usage errors.  All numeric output is rounded to 12
+significant digits before serialization, so identical invocations are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -51,20 +52,18 @@ def _emit(payload: dict, out=None):
 
 
 def _ctx(args) -> QContext:
-    return QContext(args.r, tol=args.tol, jet_order=args.jet_order)
+    return QContext(args.r, tol=args.tol)
 
 
 def _add_common(p):
     p.add_argument("--r", type=int, required=True, help="order parameter (>= 2)")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--jet-order", type=int, default=6)
 
 
 def cmd_calibrate(args) -> int:
     cfg = calibrate(_ctx(args))
-    convention = {"pivot_exponent": cfg.pivot_exponent, "coproduct_variant": "EK",
-                  "max_rel_error": _num(cfg.max_rel_error)}
-    _emit({"command": "calibrate", "r": args.r, **convention, "tried": [convention]})
+    _emit({"command": "calibrate", "r": args.r, "pivot_exponent": cfg.pivot_exponent,
+           "coproduct_variant": "EK", "max_rel_error": _num(cfg.max_rel_error)})
     return 0
 
 
@@ -127,7 +126,6 @@ def cmd_loghopf(args) -> int:
     _emit({"command": "loghopf", "r": args.r, "Z": format_label(z),
            "j": args.j, "l": args.l,
            "a": _cnum(res.a), "b": _cnum(res.b),
-           "b_by_derivative": _cnum(res.b_by_derivative),
            "trace": _cnum(res.trace),
            "closed_a": _cnum(ca), "closed_b": _cnum(cb),
            "rel_diff": _num(diff), "ok": bool(diff < 1e-8)})

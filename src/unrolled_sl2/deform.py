@@ -7,8 +7,8 @@ recoloring the open strand with the two generic summands at a jet-valued
 parameter, evaluating the ordinary renormalized invariants there, and
 reading the limit off the jets: the trace is the limit of the sum, the
 identity coefficient the common limit of the two normalized scalars, and
-the nilpotent coefficient both a quotient limit and (cross-check) a
-derivative combination.  Both summands are evaluated in one contraction:
+the nilpotent coefficient the limit of their difference over [1+i][eps].
+Both summands are evaluated in one contraction:
 the open strand carries Typical of the batch (lambda-, lambda+) + eps, and
 the evaluation's matrix and its round-off scales are split per summand.
 Each identity-coefficient limit is floored at the round-off of its own
@@ -29,10 +29,11 @@ read-only, so an in-place write fails instead of corrupting later calls.
 
 The route reads only eps^0 (the trace and a) and eps^1 (b) of the recolored
 scalars, and slice k of a contraction depends only on slices <= k, so the
-open module carries those two slices at every jet order.  The two simple
-poles, of d and of 1 / [eps], are resolved in the cached scalars, which
-keep the context's jet order.  So the output does not depend on the jet
-order from 3 up; QContext says why 2 is not enough.
+open module carries those two slices.  The two simple poles, of d and of
+1 / [eps], are resolved in the cached scalars, seeded with jet(3): d then
+has valuation -1 and is known through eps^0, the slice of g * d the trace
+reads.  So the route sets its own precision and reads nothing of the
+context's jet order.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ __all__ = [
 
 
 class CrossCheckError(ArithmeticError):
-    """The two independent routes to the same coefficient disagree."""
+    """The two summands' identity coefficients disagree."""
 
 
 @dataclass
@@ -68,7 +69,6 @@ class LogInvariantResult:
     trace: complex
     a: complex
     b: complex
-    b_by_derivative: complex
     residual_cross_check: float
 
 
@@ -87,12 +87,13 @@ def _open_indices(ctx: QContext, label):
 def _family(ctx: QContext, i: int, l: int):
     """(module, d-, d+, 1 / ([1+i][eps])) of the deformable family through
     P(i, l): Typical of the batch (lambda-, lambda+) + eps on two jet slices,
-    the modified dimension of each summand, and the reciprocal of the
-    quotient route's denominator, these three on ctx.eps().  Cached per
-    (context, i, l); every array is read-only."""
-    e = ctx.eps()
+    the modified dimension of each summand, and the reciprocal of b's
+    denominator, these three seeded with jet(3).  Cached per (context, i,
+    l); every array is read-only."""
+    # the readers of g take eps^0 (the trace and a) and eps^1 (b); the poles
+    # of d and 1 / [eps] leave jet(3) known through eps^0 and eps^1
+    e = jet(3)
     lam_m, lam_p = summand_weights(ctx, i, l, e)
-    # the readers of g take eps^0 (the trace and a) and eps^1 (b)
     mod = make_module(ctx, Typical(_stack(summand_weights(ctx, i, l, jet(2)))))
     entry = (mod, modified_dim(ctx, Typical(lam_m)), modified_dim(ctx, Typical(lam_p)),
              (qint(ctx, 1 + i) * qint(ctx, e)).reciprocal())
@@ -106,15 +107,15 @@ def _family(ctx: QContext, i: int, l: int):
 def log_tangle_invariant(cfg: RibbonConfig, expr: TangleExpr) -> LogInvariantResult:
     """Trace and endomorphism coefficients of a tangle with projective open color.
 
-    The quotient route divides the difference of the two recolored scalars
-    by [1+i][eps]; the derivative route combines the first jet derivatives
-    with the prefactor r {1}^2 / (2 pi i {1+i}).  Both are returned and
-    cross-checked to 1e-7 relative.  The recolored open module, the
-    summands' modified dimensions and 1 / ([1+i][eps]) come from the
-    family cache (_family: keyed by the context's value and (i, l), at most
-    128 entries, read-only), so a call builds none of them.  The tangle is
-    contracted on the module's two slices, eps^0 and eps^1, the only ones
-    read, so the result is the same at every jet order from 3 up.
+    b is the limit of the difference of the two recolored scalars over
+    [1+i][eps].  a is the mean of the two scalars' limits, which come from
+    separate contractions; their relative disagreement |a- - a+| / max(1,
+    |a-|) is returned as residual_cross_check and raises CrossCheckError
+    above 1e-8.  The recolored open module, the summands' modified
+    dimensions and 1 / ([1+i][eps]) come from the family cache (_family:
+    keyed by the context's value and (i, l), at most 128 entries,
+    read-only), so a call builds none of them.  The tangle is contracted on
+    the module's two slices, eps^0 and eps^1, the only ones read.
     """
     ctx = cfg.ctx
     i, l = _open_indices(ctx, expr.open_color)
@@ -133,22 +134,15 @@ def log_tangle_invariant(cfg: RibbonConfig, expr: TangleExpr) -> LogInvariantRes
     floor_a = ctx.tol * max(1.0, gm.norm(0), gp.norm(0))
     am = gm.limit(ctx.tol, atol=max(floor_a, ctx.tol * s0m))
     ap = gp.limit(ctx.tol, atol=max(floor_a, ctx.tol * s0p))
-    if abs(am - ap) > 1e-8 * max(1.0, abs(am)):
+    resid = abs(am - ap) / max(1.0, abs(am))
+    if resid > 1e-8:
         raise CrossCheckError(f"identity coefficient limits disagree: {am} vs {ap}")
     a = (am + ap) / 2
 
     floor_b = ctx.tol * max(1.0, gm.norm(1), gp.norm(1))
     num = (gm - gp).normalized(ctx.tol, atol=floor_b, upto=1)
     b = (num * inv_b).limit(ctx.tol, atol=floor_b)
-    br1 = qbracket(ctx, 1)
-    b_deriv = (ctx.r * br1 ** 2 / (2j * np.pi * qbracket(ctx, 1 + i))
-               * (gm.derivative(1, ctx.tol, atol=floor_b)
-                  - gp.derivative(1, ctx.tol, atol=floor_b)))
-    resid = abs(b - b_deriv) / max(1.0, abs(b))
-    if resid > 1e-7:
-        raise CrossCheckError(
-            f"nilpotent coefficient routes disagree: {b} vs {b_deriv} (rel {resid:.2e})")
-    return LogInvariantResult(trace, a, b, b_deriv, resid)
+    return LogInvariantResult(trace, a, b, resid)
 
 
 def _recolored_scalars(cfg: RibbonConfig, expr: TangleExpr, mod):
@@ -208,6 +202,6 @@ class DimLimitReport:
 
 def dim_limit_check(ctx: QContext, i: int, l: int) -> DimLimitReport:
     """Limit of the family's modified dimension against the projective closed form."""
-    jv = modified_dim(ctx, DeformX(i, l, ctx.eps())).limit()
+    jv = modified_dim(ctx, DeformX(i, l, jet(3))).limit()
     cf = modified_dim(ctx, Projective(i, l))
     return DimLimitReport(jv, cf, abs(jv - cf))

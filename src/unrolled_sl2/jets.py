@@ -11,8 +11,9 @@ its own L'Hopital evaluation.
 Precision bookkeeping: a jet of length n knows the coefficients of
 eps^m for val <= m < val + n and that all lower coefficients vanish.
 Binary operations keep the largest honestly-known range, so lengths may
-shrink where a normalized jet meets others; seed with enough order
-(QContext.jet_order) to absorb that.
+shrink where a normalized jet meets others; seed with enough order to
+absorb that (deform seeds its family's poles with jet(3), enough for the
+eps^0 and eps^1 it reads).
 
 Products (*, @, kron, combine) loop over one operand's coefficient slices
 and multiply each against the other operand's whole coefficient stack in

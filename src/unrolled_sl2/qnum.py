@@ -20,7 +20,8 @@ __all__ = ["QContext", "PoleError", "OrderError", "qpow", "qbracket", "qint", "q
 
 @dataclass(frozen=True)
 class QContext:
-    """Order parameter r >= 2 with q = exp(i*pi/r) and numeric tolerances."""
+    """Order parameter r >= 2 with q = exp(i*pi/r), numeric tolerances and
+    the order of the small parameter eps()."""
 
     r: int
     tol: float = 1e-9
@@ -32,11 +33,8 @@ class QContext:
             raise ValueError(f"order parameter must be >= 2, got {self.r}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tolerance must be finite and positive, got {self.tol}")
-        if self.jet_order < 3:
-            raise ValueError(
-                f"jet order must be >= 3, got {self.jet_order}: at order n a modified "
-                "dimension d(lambda + eps) has valuation -1 and n - 1 slices, so it is "
-                "known through eps^(n-3), and the trace reads eps^0 of g * d")
+        if self.jet_order < 1:
+            raise ValueError(f"jet order must be positive, got {self.jet_order}")
         object.__setattr__(self, "q", complex(np.exp(1j * np.pi / self.r)))
 
     def eps(self) -> Jet:

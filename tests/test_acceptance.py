@@ -19,7 +19,7 @@ from unrolled_sl2.rep import (
 )
 from unrolled_sl2.ribbon import get_config, hopf_closed_form, scalar_of
 from unrolled_sl2.tangle import (
-    eval_tangle, hopf_tangle, nilpotent_endo, random_braid_tangle,
+    decompose_endo, eval_tangle, hopf_tangle, nilpotent_endo, random_braid_tangle,
 )
 from unrolled_sl2.deform import dim_limit_check, log_hopf_closed, log_tangle_invariant
 from unrolled_sl2.singlet import (
@@ -154,6 +154,10 @@ def test_criterion_6_random_tangles():
             t = random_braid_tangle(rng, Projective(i, l), closed, max_crossings=6)
             res = log_tangle_invariant(cfg, t)  # internal a-check at 1e-8
             assert res.residual_cross_check < 1e-7, (r, i, l, closed)
+            # oracle: the float evaluation on the cover, with no jets or recoloring
+            dec = decompose_endo(eval_tangle(cfg, t), make_module(ctx, Projective(i, l)))
+            assert abs(dec.a - res.a) <= 1e-7 * max(1.0, abs(res.a)), (r, i, l, closed)
+            assert abs(dec.b - res.b) <= 1e-7 * max(1.0, abs(res.b)), (r, i, l, closed)
             done += 1
     assert done == 50
 

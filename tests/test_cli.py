@@ -26,8 +26,7 @@ def test_calibrate(capsys):
     assert doc["pivot_exponent"] == -2
     assert doc["coproduct_variant"] == "EK"
     assert doc["max_rel_error"] < 1e-9
-    assert doc["tried"] == [{"pivot_exponent": -2, "coproduct_variant": "EK",
-                             "max_rel_error": doc["max_rel_error"]}]
+    assert "tried" not in doc
 
 
 def test_repcheck_single_and_dump(capsys):
@@ -50,6 +49,7 @@ def test_loghopf_example(capsys):
     doc = json.loads(out)
     assert doc["ok"] is True
     assert doc["a"] == doc["closed_a"]
+    assert "b_by_derivative" not in doc
 
 
 def test_tangle_typical_and_projective(capsys):
@@ -61,6 +61,29 @@ def test_tangle_typical_and_projective(capsys):
     assert code == 0
     doc = json.loads(out)
     assert "endo" in doc
+
+
+def test_projective_tangle_prints_the_identity_coefficient_check(capsys):
+    """residuals.cross_check is the API's residual_cross_check, rounded (1.2e-15 here)."""
+    from unrolled_sl2.cli import _num
+    from unrolled_sl2.deform import log_tangle_invariant
+    from unrolled_sl2.qnum import QContext
+    from unrolled_sl2.ribbon import get_config
+    from unrolled_sl2.tangle import parse_tangle
+
+    expr = "open P(1,0) | insert 2 S(1,1); br+ 1; br+ 2; br+ 2; br+ 1; tw- 1; evR 2"
+    code, out, _ = run(capsys, "tangle", "--r", "4", "--expr", expr)
+    assert code == 0
+    res = log_tangle_invariant(get_config(QContext(4)), parse_tangle(expr))
+    assert json.loads(out)["residuals"]["cross_check"] == _num(res.residual_cross_check)
+
+
+def test_jet_order_is_not_an_option(capsys):
+    """The deformation route sets its own precision, so no subcommand takes it."""
+    with pytest.raises(SystemExit) as ei:
+        main(["loghopf", "--r", "3", "--Z", "S(1,0)", "--j", "0", "--jet-order", "6"])
+    assert ei.value.code == 2
+    assert "--jet-order" in capsys.readouterr().err
 
 
 def test_qdim_example(capsys):
@@ -225,7 +248,8 @@ def test_complex_generic_color_in_a_tangle(capsys):
 
 
 def test_cross_check_failure_is_a_mismatch(capsys, monkeypatch):
-    """Two routes to one coefficient that disagree exit 1 with one mismatch line."""
+    """Identity coefficients of the two summands that disagree exit 1 with one
+    mismatch line."""
     from unrolled_sl2 import cli
     from unrolled_sl2.deform import CrossCheckError
 

@@ -242,18 +242,16 @@ def test_family_cache_is_keyed_by_the_context_value():
     assert info.maxsize is not None and info.maxsize >= 45
 
 
-def test_family_contracts_two_slices_and_keeps_its_scalars_at_the_jet_order():
-    """The open module is a two-slice jet at every jet order, and d(lambda +-
-    eps) and 1 / ([1+i][eps]) stay at the context's; at the least order, 3,
+def test_family_contracts_two_slices_and_seeds_its_scalars_with_jet_3():
+    """The open module is a two-slice jet, and d(lambda +- eps) and 1 /
+    ([1+i][eps]) are seeded with jet(3), whatever the context's jet order:
     d has val -1 and val + order == 1, so it is known through eps^0, the
-    slice of g * d that the trace reads."""
+    slice of g * d that the trace reads, and 1 / ([1+i][eps]) through eps^1."""
     for n in (3, 6, 8):
         mod, dm, dp, inv_b = _family(QContext(4, jet_order=n), 1, 0)
         assert (mod.weights.val, mod.weights.order) == (0, 2)
-        assert (dm.val, dm.order) == (dp.val, dp.order) == (-1, n - 1)
-        assert (inv_b.val, inv_b.order) == (-1, n)
-    with pytest.raises(ValueError, match=r"known through eps\^\(n-3\)"):
-        QContext(4, jet_order=2)
+        assert (dm.val, dm.order) == (dp.val, dp.order) == (-1, 2)
+        assert (inv_b.val, inv_b.order) == (-1, 3)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])

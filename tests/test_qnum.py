@@ -30,6 +30,13 @@ def test_tolerance_must_be_finite_and_positive(tol):
         QContext(3, tol=tol)
 
 
+def test_jet_order_must_be_positive():
+    """The order sets only eps(); the deformation route seeds its own jets."""
+    with pytest.raises(ValueError, match="jet order must be positive, got 0"):
+        QContext(4, jet_order=0)
+    assert QContext(4, jet_order=2).eps().order == 2
+
+
 def test_qpow_examples():
     assert qpow(QContext(2), 0.5) == pytest.approx(np.exp(1j * np.pi / 4))
     assert qpow(QContext(3), 3) == pytest.approx(-1.0)
