@@ -3,7 +3,7 @@ renormalized tangle invariants, deformation-limit invariants on projective
 colors, and singlet-side regularized dimensions with fusion data."""
 
 from .jets import Jet, OrderError, PoleError, as_jet, jet
-from .qnum import QContext, qbracket, qfact, qint, qpow
+from .qnum import QContext, qbracket, qint, qpow
 from .rep import (
     DeformX, Dual, LinearMap, ModuleLabel, OneDim, Projective, RangeError,
     SelfExt, Simple, SingularError, Sum, Tensor, Typical, WeightModule,

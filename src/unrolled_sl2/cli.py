@@ -1,11 +1,13 @@
 """Batch command-line frontend emitting machine-readable JSON/CSV tables.
 
 Subcommands: repcheck, hopf, loghopf, tangle, qdim, fusion, compare, sweep,
-calibrate.  Exit codes: 0 on success, 1 when a computed value misses its
-reference or a projective tangle's two summands give different identity
-coefficients, 2 on usage errors.  All numeric output is rounded to 12
-significant digits before serialization, so identical invocations are
-byte-identical.
+calibrate.  Each ``cmd_*`` takes the arguments and the context and returns
+its payload (``sweep --output csv`` prints its table and returns None);
+``main`` builds the context, wraps the payload in the {schema, command, r}
+envelope and picks the exit code: 0 on success, 1 when the payload's ``ok``
+is false or the engine raises an ``ArithmeticError`` (a value it could not
+certify), 2 on usage errors.  All numeric output is rounded to 12
+significant digits, so identical invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ from .ribbon import (
     hopf_closed_form, modified_trace, scalar_of,
 )
 from .singlet import (
-    BoundaryError, DomainError, RegimeError, compare_hopf_qdim, format_singlet_label, fuse,
+    BoundaryError, compare_hopf_qdim, format_singlet_label, fuse,
     parse_singlet_label, projective_strip, qdim_reg, regime_of, strip_eps,
 )
 from .tangle import eval_tangle, hopf_tangle, parse_color, parse_tangle
-from .deform import CrossCheckError, log_hopf_closed, log_tangle_invariant
+from .deform import log_hopf_closed, log_tangle_invariant
 
 SCHEMA = "unrolled-sl2/1"
 
@@ -44,15 +46,10 @@ def _cnum(z) -> list:
     return [_num(z.real), _num(z.imag)]
 
 
-def _emit(payload: dict, out=None):
-    out = out if out is not None else sys.stdout
-    payload = {"schema": SCHEMA, **payload}
-    json.dump(payload, out, sort_keys=True, separators=(",", ": "), indent=1)
-    out.write("\n")
-
-
-def _ctx(args) -> QContext:
-    return QContext(args.r, tol=args.tol)
+def _emit(payload: dict):
+    json.dump({"schema": SCHEMA, **payload}, sys.stdout, sort_keys=True,
+              separators=(",", ": "), indent=1)
+    sys.stdout.write("\n")
 
 
 def _add_common(p):
@@ -60,19 +57,16 @@ def _add_common(p):
     p.add_argument("--tol", type=float, default=1e-9)
 
 
-def cmd_calibrate(args) -> int:
-    cfg = calibrate(_ctx(args))
-    _emit({"command": "calibrate", "r": args.r, "pivot_exponent": cfg.pivot_exponent,
-           "coproduct_variant": "EK", "max_rel_error": _num(cfg.max_rel_error)})
-    return 0
+def cmd_calibrate(args, ctx) -> dict:
+    cfg = calibrate(ctx)
+    return {"pivot_exponent": cfg.pivot_exponent, "coproduct_variant": "EK",
+            "max_rel_error": _num(cfg.max_rel_error)}
 
 
 _DEFAULT_BATTERY_ALPHAS = (0.377, -1.21, 2.63)
 
 
-def cmd_repcheck(args) -> int:
-    ctx = _ctx(args)
-    labels = []
+def cmd_repcheck(args, ctx) -> dict:
     if args.label:
         labels = [parse_color(args.label)]
     else:
@@ -92,51 +86,37 @@ def cmd_repcheck(args) -> int:
         if args.dump:
             row["module"] = module_dump(m)
         rows.append(row)
-    _emit({"command": "repcheck", "r": args.r, "max_residual": _num(worst),
-           "ok": bool(worst < ctx.tol), "modules": rows})
-    return 0 if worst < ctx.tol else 1
+    return {"max_residual": _num(worst), "ok": bool(worst < ctx.tol), "modules": rows}
 
 
-def cmd_hopf(args) -> int:
-    ctx = _ctx(args)
+def cmd_hopf(args, ctx) -> dict:
     cfg = get_config(ctx)
     closed = parse_color(args.closed)
-    if args.alpha is not None:
-        if not isinstance(closed, Typical):
-            raise ValueError(f"--alpha overrides a V(...) closed color, not {args.closed}")
-        closed = Typical(parse_complex(args.alpha))
     beta = parse_complex(args.beta)
     want = hopf_closed_form(ctx, closed, beta)
     lm = eval_tangle(cfg, hopf_tangle(Typical(beta), closed))
     got = scalar_of(lm.matrix, lm.source.dim, ctx.tol, lm.scale)
     diff = abs(got - want) / max(1.0, abs(want))
-    _emit({"command": "hopf", "r": args.r, "closed": format_label(closed),
-           "beta": _cnum(beta), "engine": _cnum(got), "closed_form": _cnum(want),
-           "rel_diff": _num(diff), "ok": bool(diff < 1e-9)})
-    return 0 if diff < 1e-9 else 1
+    return {"closed": format_label(closed), "beta": _cnum(beta), "engine": _cnum(got),
+            "closed_form": _cnum(want), "rel_diff": _num(diff), "ok": bool(diff < 1e-9)}
 
 
-def cmd_loghopf(args) -> int:
-    ctx = _ctx(args)
+def cmd_loghopf(args, ctx) -> dict:
     cfg = get_config(ctx)
     z = parse_color(args.Z)
     ca, cb = log_hopf_closed(ctx, z, args.j, args.l)
     res = log_tangle_invariant(cfg, hopf_tangle(Projective(args.j, args.l), z))
     diff = max(abs(res.a - ca) / max(1.0, abs(ca)), abs(res.b - cb) / max(1.0, abs(cb)))
-    _emit({"command": "loghopf", "r": args.r, "Z": format_label(z),
-           "j": args.j, "l": args.l,
-           "a": _cnum(res.a), "b": _cnum(res.b),
-           "trace": _cnum(res.trace),
-           "closed_a": _cnum(ca), "closed_b": _cnum(cb),
-           "rel_diff": _num(diff), "ok": bool(diff < 1e-8)})
-    return 0 if diff < 1e-8 else 1
+    return {"Z": format_label(z), "j": args.j, "l": args.l,
+            "a": _cnum(res.a), "b": _cnum(res.b), "trace": _cnum(res.trace),
+            "closed_a": _cnum(ca), "closed_b": _cnum(cb),
+            "rel_diff": _num(diff), "ok": bool(diff < 1e-8)}
 
 
-def cmd_tangle(args) -> int:
-    ctx = _ctx(args)
+def cmd_tangle(args, ctx) -> dict:
     cfg = get_config(ctx)
     expr = parse_tangle(args.expr)
-    payload = {"command": "tangle", "r": args.r, "normal_form": str(expr)}
+    payload = {"normal_form": str(expr)}
     if projective_cover(expr.open_color) is not None:
         res = log_tangle_invariant(cfg, expr)
         payload.update({
@@ -152,37 +132,29 @@ def cmd_tangle(args) -> int:
         resid = float(np.max(np.abs(mat - g * np.eye(lm.source.dim))))
         payload.update({"invariant": _cnum(inv), "scalar": _cnum(g),
                         "residuals": {"scalar": _num(resid)}})
-    _emit(payload)
-    return 0
+    return payload
 
 
-def cmd_qdim(args) -> int:
-    ctx = _ctx(args)
+def cmd_qdim(args, ctx) -> dict:
     lab = parse_singlet_label(args.label)
     eps = parse_complex(args.eps)
     reg = regime_of(ctx, eps)
     val = qdim_reg(ctx, lab, eps)
-    _emit({"command": "qdim", "r": args.r, "label": format_singlet_label(lab),
-           "eps": _cnum(eps),
-           "regime": reg.kind if reg.kind == "continuous" else f"strip({reg.k},{reg.m})",
-           "qdim": _cnum(val)})
-    return 0
+    return {"label": format_singlet_label(lab), "eps": _cnum(eps),
+            "regime": reg.kind if reg.kind == "continuous" else f"strip({reg.k},{reg.m})",
+            "qdim": _cnum(val)}
 
 
-def cmd_fusion(args) -> int:
-    ctx = _ctx(args)
+def cmd_fusion(args, ctx) -> dict:
     x = parse_singlet_label(args.X)
     y = parse_singlet_label(args.Y)
     vec = fuse(ctx, x, y)
-    _emit({"command": "fusion", "r": args.r,
-           "X": format_singlet_label(x), "Y": format_singlet_label(y),
-           "product": [{"label": format_singlet_label(lab), "mult": mult}
-                       for lab, mult in vec.items()]})
-    return 0
+    return {"X": format_singlet_label(x), "Y": format_singlet_label(y),
+            "product": [{"label": format_singlet_label(lab), "mult": mult}
+                        for lab, mult in vec.items()]}
 
 
-def cmd_compare(args) -> int:
-    ctx = _ctx(args)
+def cmd_compare(args, ctx) -> dict:
     cfg = get_config(ctx)
     x = parse_color(args.X)
     if args.mode == "continuous":
@@ -193,15 +165,12 @@ def cmd_compare(args) -> int:
         color = Projective(args.j, args.k)
     rep = compare_hopf_qdim(cfg, x, color, eps)
     rel = rep.diff / max(1.0, abs(rep.lhs))
-    _emit({"command": "compare", "r": args.r, "mode": args.mode,
-           "X": format_label(x), "eps": _cnum(eps),
-           "qdim": _cnum(rep.lhs), "trace_ratio": _cnum(rep.rhs),
-           "rel_diff": _num(rel), "ok": bool(rel < 1e-9)})
-    return 0 if rel < 1e-9 else 1
+    return {"mode": args.mode, "X": format_label(x), "eps": _cnum(eps),
+            "qdim": _cnum(rep.lhs), "trace_ratio": _cnum(rep.rhs),
+            "rel_diff": _num(rel), "ok": bool(rel < 1e-9)}
 
 
-def cmd_sweep(args) -> int:
-    ctx = _ctx(args)
+def cmd_sweep(args, ctx) -> dict | None:
     labels = [parse_singlet_label(t) for t in args.labels.split(";")]
     eps_list = [parse_complex(t) for t in args.eps.split(";")]
     rows = []
@@ -219,12 +188,10 @@ def cmd_sweep(args) -> int:
         for lab, eps, regime, val in rows:
             tail = f"{val.real:.12e},{val.imag:.12e}" if val is not None else ","
             print(f"{lab},{eps.real:.12e},{eps.imag:.12e},{regime},{tail}")
-    else:
-        _emit({"command": "sweep", "r": args.r, "rows": [
-            {"label": lab, "eps": _cnum(eps), "regime": regime,
-             "qdim": _cnum(val) if val is not None else None}
-            for lab, eps, regime, val in rows]})
-    return 0
+        return None
+    return {"rows": [{"label": lab, "eps": _cnum(eps), "regime": regime,
+                      "qdim": _cnum(val) if val is not None else None}
+                     for lab, eps, regime, val in rows]}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--closed", required=True, help="closed color token")
     p.add_argument("--beta", required=True, help="open generic weight (a+bi)")
-    p.add_argument("--alpha", help="complex override for a typical closed color")
     p.set_defaults(fn=cmd_hopf)
 
     p = sub.add_parser("loghopf", help="Hopf coefficients on a projective cover")
@@ -294,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_VALUE_FLAGS = ("--eps", "--beta", "--alpha", "--eps-re")
+_VALUE_FLAGS = ("--eps", "--beta", "--eps-re")
 
 
 def _join_negative_values(argv):
@@ -313,6 +279,11 @@ def _join_negative_values(argv):
     return out
 
 
+# Refusals of an input (exit 2).  A bare TypeError is a bug and keeps its traceback.
+_USAGE_ERRORS = (ValueError, SyntaxError, NotProjectiveError, NoClosedFormError,
+                 CalibrationError)
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
@@ -323,14 +294,17 @@ def main(argv=None) -> int:
         if args.mode == "strip" and args.j is None:
             ap.error("--j is required in strip mode")
     try:
-        return args.fn(args)
-    except (DomainError, BoundaryError, RegimeError, NotProjectiveError, NoClosedFormError,
-            CalibrationError, ValueError, SyntaxError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CrossCheckError as exc:
+        payload = args.fn(args, QContext(args.r, tol=args.tol))
+    except ArithmeticError as exc:
         print(f"mismatch: {exc}", file=sys.stderr)
         return 1
+    except _USAGE_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if payload is None:
+        return 0
+    _emit({"command": args.command, "r": args.r, **payload})
+    return 0 if payload.get("ok", True) else 1
 
 
 if __name__ == "__main__":

@@ -58,7 +58,7 @@ class PoleError(ArithmeticError):
     """A limit was requested of a quantity that diverges as eps -> 0."""
 
 
-class OrderError(ValueError):
+class OrderError(ArithmeticError):
     """A limit or derivative read a coefficient beyond the jet's truncation."""
 
 

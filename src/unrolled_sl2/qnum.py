@@ -1,4 +1,4 @@
-"""Root-of-unity scalar kernel: q-powers, brackets, integers, factorials.
+"""Root-of-unity scalar kernel: q-powers, brackets, integers.
 
 All quantities live at q = exp(i*pi/r), so q^(2r) = 1 and q^r = -1.
 Arguments may be plain complex numbers or jets (see jets.Jet); every
@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import Jet, OrderError, PoleError, jet
+from .jets import Jet, jet
 
-__all__ = ["QContext", "PoleError", "OrderError", "qpow", "qbracket", "qint", "qfact"]
+__all__ = ["QContext", "qpow", "qbracket", "qint"]
 
 
 @dataclass(frozen=True)
@@ -80,13 +80,3 @@ def qint(ctx: QContext, x):
     if np.ndim(x):
         return np.sin(np.pi * np.asarray(x, dtype=complex) / ctx.r) / np.sin(np.pi / ctx.r)
     return complex(np.sin(np.pi * complex(x) / ctx.r) / np.sin(np.pi / ctx.r))
-
-
-def qfact(ctx: QContext, n: int):
-    """[n]! = [n][n-1]...[1], with [0]! = 1."""
-    if n < 0:
-        raise ValueError(f"q-factorial needs n >= 0, got {n}")
-    out = 1.0 + 0j
-    for k in range(1, n + 1):
-        out *= qint(ctx, k)
-    return out

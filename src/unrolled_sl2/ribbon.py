@@ -76,7 +76,7 @@ class NotProjectiveError(TypeError):
     """Modified dimension/trace requested outside the projective ideal."""
 
 
-class NonScalarError(ValueError):
+class NonScalarError(ArithmeticError):
     """An endomorphism expected to be scalar on a simple block is not."""
 
 

@@ -11,7 +11,9 @@ in the continuous regime.
 The dictionary maps generic-weight modules to Fock labels and twisted
 simples to atypicals; the comparison engine equates regularized dimensions
 with ratios of modified traces of open Hopf links, computed through the
-tangle engine (continuous regime) or the deformation limit (strips).
+tangle engine (continuous regime) or the deformation limit (strips).  The
+denominator of each ratio is the open Hopf link with the unit S(0, 0)
+closed, which is the identity, so it is known exactly and not evaluated.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .qnum import QContext
 from .rep import OneDim, Projective, Simple, Sum, Typical, _fmt_num, is_typical_weight, parse_complex
-from .ribbon import RibbonConfig, _bracket_ratio
+from .ribbon import RibbonConfig, _bracket_ratio, modified_dim
 from .tangle import hopf_tangle, renormalized_invariant
 from .deform import log_tangle_invariant
 
@@ -367,11 +369,12 @@ def compare_hopf_qdim(cfg: RibbonConfig, x, color, eps: complex) -> CompareRepor
     """Regularized dimension of the image of x against a modified-trace ratio.
 
     Continuous regime: color must be the generic module at alpha =
-    -i sqrt(2r) eps; the ratio is of modified traces of open Hopf links on
-    that color.  Strip regime: color must be the projective cover P_j
-    (twist k) matched to the strip S(k, j+1+r(k+1)); the ratio is of the
-    identity coefficients of the nilpotent-weighted links, computed by the
-    deformation limit.
+    -i sqrt(2r) eps; the ratio is the modified trace of hopf(color, x) over
+    that of hopf(color, S(0, 0)), the identity, whose trace is the modified
+    dimension d(V_alpha).  Strip regime: color must be the projective cover
+    P_j (twist k) matched to the strip S(k, j+1+r(k+1)); the ratio is the
+    identity coefficient of hopf(color, x), computed by the deformation
+    limit, over that of the unit, which is 1.
     """
     ctx = cfg.ctx
     reg = regime_of(ctx, eps)
@@ -383,7 +386,7 @@ def compare_hopf_qdim(cfg: RibbonConfig, x, color, eps: complex) -> CompareRepor
             raise RegimeError(
                 f"color weight {color.alpha} does not match -i sqrt(2r) eps = {alpha}")
         num = renormalized_invariant(cfg, hopf_tangle(Typical(alpha), x))
-        rhs = num / _unit_trace(ctx, alpha)
+        rhs = num / modified_dim(ctx, Typical(alpha))
     else:
         if not isinstance(color, Projective):
             raise RegimeError("strip comparison needs a projective-cover color")
@@ -391,20 +394,14 @@ def compare_hopf_qdim(cfg: RibbonConfig, x, color, eps: complex) -> CompareRepor
         if (reg.k, reg.m) != want:
             raise RegimeError(f"eps lies in strip (k, m) = {(reg.k, reg.m)}, "
                               f"but color {color} prescribes {want}")
-        rhs = _hopf_identity_coeff(ctx, color, x) / _hopf_identity_coeff(ctx, color, Simple(0, 0))
+        rhs = _hopf_identity_coeff(ctx, color, x)
     lhs = phi_dictionary(ctx, x)
     lhs_val = qdim_reg(ctx, lhs, eps)
     return CompareReport(complex(lhs_val), complex(rhs), abs(lhs_val - rhs), reg)
 
 
-# Memos of eps-independent comparison data, keyed by value (never by id()):
+# A memo of eps-independent comparison data, keyed by value (never by id()):
 # the context, which fixes the ribbon convention, and the labels.
-@lru_cache(maxsize=1024)
-def _unit_trace(ctx: QContext, alpha: complex) -> complex:
-    """Modified trace of the open Hopf link hopf(Typical(alpha), S(0, 0))."""
-    return renormalized_invariant(RibbonConfig(ctx), hopf_tangle(Typical(alpha), Simple(0, 0)))
-
-
 @lru_cache(maxsize=1024)
 def _hopf_identity_coeff(ctx: QContext, color, x) -> complex:
     """Identity coefficient a of the open Hopf link hopf(color, x); independent of eps."""

@@ -78,7 +78,7 @@ class TypeMismatchError(ValueError):
     """The strand word does not compose (wrong arity, colors, or duals)."""
 
 
-class NotEndomorphismError(ValueError):
+class NotEndomorphismError(ArithmeticError):
     """A map expected to commute with the module action does not."""
 
 

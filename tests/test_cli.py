@@ -232,12 +232,12 @@ def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, unrolled_sl2.cli; sys.exit('scipy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
-def test_alpha_overrides_only_a_generic_closed_color(capsys):
-    code, out, err = run(capsys, "hopf", "--r", "3", "--closed", "S(1,0)", "--beta", "0.7",
-                         "--alpha", "0.3")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: --alpha") and err.count("\n") == 1
+def test_alpha_is_not_an_option(capsys):
+    """A generic closed colour is given as --closed "V(...)"; there is no second spelling."""
+    with pytest.raises(SystemExit) as ei:
+        main(["hopf", "--r", "3", "--closed", "V(0.7)", "--beta", "0.7", "--alpha", "0.3"])
+    assert ei.value.code == 2
+    assert "--alpha" in capsys.readouterr().err
 
 
 def test_complex_generic_color_in_a_tangle(capsys):
@@ -294,3 +294,43 @@ def test_non_finite_tolerance_is_usage_error(capsys, tol):
     assert err.startswith(_TOL_ERRORS[tol]) and err.count("\n") == 1
     if tol in ("10", "1e-30"):  # the calibration failure names the tolerance
         assert err.rstrip().endswith(f"at tol {float(tol)}")
+
+
+@pytest.mark.parametrize("r, expr", [
+    pytest.param(10, "open P(5,-1) | insert 2 V(0.28436+0.619277i); br- 1; br+ 2; br- 1; "
+                 "br+ 2; br- 2; br- 1; br+ 1; br+ 1; br- 2; br+ 1; tw+ 1; evR 2", id="pole"),
+    pytest.param(10, "open P(7,-1) | insert 2 V(0.634067+0.736738i); br- 2; br+ 1; br+ 1; "
+                 "br- 2; br- 1; br- 2; br+ 1; br- 1; br- 2; br+ 1; tw- 1; evR 2", id="non-scalar r10"),
+    pytest.param(7, "open P(5,2) | insert 2 V(0.628702+1.22783i); br+ 1; br- 2; br+ 1; br+ 2; "
+                 "br+ 2; br+ 1; br+ 2; br+ 2; br+ 2; br- 1; tw- 1; evR 2", id="non-scalar r7"),
+])
+def test_value_the_engine_cannot_certify_is_a_mismatch(capsys, r, expr):
+    """Valid words whose jet limit diverges or whose scalar test fails on
+    round-off exit 1 with one mismatch line, not 2 and not a traceback."""
+    code, out, err = run(capsys, "tangle", "--r", str(r), "--expr", expr)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("mismatch: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_every_exported_error_has_an_exit_code():
+    """Each exception class the package exports is a value the engine could not
+    certify (ArithmeticError, exit 1) or a refused input (exit 2)."""
+    from unrolled_sl2.cli import _USAGE_ERRORS
+
+    errors = [obj for obj in vars(unrolled_sl2).values()
+              if isinstance(obj, type) and issubclass(obj, BaseException)]
+    assert len(errors) >= 16
+    for cls in errors:
+        assert issubclass(cls, (ArithmeticError, *_USAGE_ERRORS)), cls
+
+
+def test_payload_that_is_not_ok_exits_1_with_its_json(capsys):
+    """main, not the subcommand, turns a false ok into exit 1; the JSON still prints."""
+    code, out, err = run(capsys, "repcheck", "--r", "3", "--tol", "1e-30", "--label", "P(1,0)")
+    assert code == 1
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert (doc["schema"], doc["command"], doc["r"]) == ("unrolled-sl2/1", "repcheck", 3)

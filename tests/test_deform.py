@@ -10,7 +10,7 @@ from unrolled_sl2.rep import DeformX, Projective, RangeError, Simple, Typical, m
 from unrolled_sl2.ribbon import get_config, modified_dim
 from unrolled_sl2.tangle import (
     Insert, TangleExpr, decompose_endo, eval_tangle, hopf_tangle, parse_tangle,
-    random_braid_tangle, twist_loop_tangle,
+    random_braid_tangle, renormalized_invariant, twist_loop_tangle,
 )
 from unrolled_sl2.deform import _family, dim_limit_check, log_hopf_closed, log_tangle_invariant
 
@@ -75,11 +75,22 @@ def test_log_hopf_huge_twists_keep_b_at_r6():
 
 
 def test_unit_closed_color():
+    """The open Hopf link with the unit S(0, 0) closed is the identity: exactly
+    so for the values the comparison engine divides by, at r = 2..6."""
     ctx = QContext(3)
     cfg = get_config(ctx)
     d = log_tangle_invariant(cfg, hopf_tangle(Projective(1, 0), Simple(0, 0)))
     assert d.a == pytest.approx(1.0)
     assert abs(d.b) < 1e-9
+    for r in range(2, 7):
+        ctx = QContext(r)
+        cfg = get_config(ctx)
+        for alpha in (0.37, -1.21 + 0.4j, 2.63 - 0.2j):
+            unit = renormalized_invariant(cfg, hopf_tangle(Typical(alpha), Simple(0, 0)))
+            assert unit == modified_dim(ctx, Typical(alpha))
+        for i in range(r - 1):
+            for l in (-1, 0, 1):
+                assert log_tangle_invariant(cfg, hopf_tangle(Projective(i, l), Simple(0, 0))).a == 1
 
 
 def _closed_colors(rng, r):

@@ -7,7 +7,7 @@ import pytest
 
 from unrolled_sl2 import deform, ribbon
 from unrolled_sl2.jets import Jet, PoleError, as_jet
-from unrolled_sl2.qnum import QContext, qbracket, qfact, qint, qpow
+from unrolled_sl2.qnum import QContext, qbracket, qint, qpow
 from unrolled_sl2.rep import Projective, Simple, Typical, _stack, make_module, summand_weights
 
 RS = [2, 3, 4, 5, 6]
@@ -56,9 +56,6 @@ def test_bracket_examples():
         ctx = QContext(r)
         assert abs(qbracket(ctx, r)) < 1e-12
         assert abs(qint(ctx, r)) < 1e-12
-    # [2]! at r=3: frozen from sin(2pi/3)/sin(pi/3) * sin(pi/3)/sin(pi/3) = 1
-    assert qfact(QContext(3), 2) == pytest.approx(1.0)
-    assert qfact(QContext(3), 0) == pytest.approx(1.0)
 
 
 def test_bracket_periodicity_and_oddness():
