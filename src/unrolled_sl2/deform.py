@@ -10,7 +10,8 @@ identity coefficient the common limit of the two normalized scalars, and
 the nilpotent coefficient the limit of their difference over [1+i][eps].
 Both summands are evaluated in one contraction:
 the open strand carries Typical of the batch (lambda-, lambda+) + eps, and
-the evaluation's matrix and its round-off scales are split per summand.
+one scalar test (ribbon.scalar_of) takes the evaluation's (2, d, d) matrix,
+judging each summand against its own round-off scale.
 Each identity-coefficient limit is floored at the round-off of its own
 summand's eps^0 contraction.  log_tangle_invariant is the one route from a
 projective-colored tangle to (a, b); its independent oracle is the float
@@ -22,10 +23,13 @@ What the family fixes is built once per context and cover: _family(ctx, i,
 l) holds the batched open module (its E, F and weights, from which rep
 derives H and K when asked, and its stacks of E and F powers), the
 modified dimensions d(lambda- + eps) and d(lambda+ + eps), and the
-reciprocal of [1+i][eps].  It is an lru_cache keyed by the frozen context's
-value and the two indices, bounded at 128 entries (one round over r = 2..6,
-i <= r - 2, l in {-1, 0, 1} uses 45), and every array of an entry is
-read-only, so an in-place write fails instead of corrupting later calls.
+reciprocal of [1+i][eps].  It is an lru_cache keyed by the context's r and
+tol, the only fields the entry depends on, and the two indices, bounded at
+128 entries (one round over r = 2..6, i <= r - 2, l in {-1, 0, 1} uses 45),
+and every array of an entry is read-only, so an in-place write fails
+instead of corrupting later calls.  The module persists with its entry,
+and so do the gate parts ribbon keeps with it (its twists and its scaled
+tail stacks), so each is built once per family.
 
 The route reads only eps^0 (the trace and a) and eps^1 (b) of the recolored
 scalars, and slice k of a contraction depends only on slices <= k, so the
@@ -83,13 +87,19 @@ def _open_indices(ctx: QContext, label):
     return i, l
 
 
-@lru_cache(maxsize=128)
 def _family(ctx: QContext, i: int, l: int):
     """(module, d-, d+, 1 / ([1+i][eps])) of the deformable family through
     P(i, l): Typical of the batch (lambda-, lambda+) + eps on two jet slices,
     the modified dimension of each summand, and the reciprocal of b's
-    denominator, these three seeded with jet(3).  Cached per (context, i,
-    l); every array is read-only."""
+    denominator, these three seeded with jet(3).  Cached per (r, tol, i, l)
+    in _family_at: the entry reads no other field of the context."""
+    return _family_at(ctx.r, ctx.tol, i, l)
+
+
+@lru_cache(maxsize=128)
+def _family_at(r: int, tol: float, i: int, l: int):
+    """The _family entry at QContext(r, tol); every array is read-only."""
+    ctx = QContext(r, tol)
     # the readers of g take eps^0 (the trace and a) and eps^1 (b); the poles
     # of d and 1 / [eps] leave jet(3) known through eps^0 and eps^1
     e = jet(3)
@@ -108,12 +118,12 @@ def log_tangle_invariant(cfg: RibbonConfig, expr: TangleExpr) -> LogInvariantRes
     """Trace and endomorphism coefficients of a tangle with projective open color.
 
     b is the limit of the difference of the two recolored scalars over
-    [1+i][eps].  a is the mean of the two scalars' limits, which come from
-    separate contractions; their relative disagreement |a- - a+| / max(1,
+    [1+i][eps].  a is the mean of the two scalars' limits, one per summand
+    of the contraction; their relative disagreement |a- - a+| / max(1,
     |a-|) is returned as residual_cross_check and raises CrossCheckError
     above 1e-8.  The recolored open module, the summands' modified
     dimensions and 1 / ([1+i][eps]) come from the family cache (_family:
-    keyed by the context's value and (i, l), at most 128 entries,
+    keyed by the context's r and tol and (i, l), at most 128 entries,
     read-only), so a call builds none of them.  The tangle is contracted on
     the module's two slices, eps^0 and eps^1, the only ones read.
     """
@@ -148,14 +158,16 @@ def log_tangle_invariant(cfg: RibbonConfig, expr: TangleExpr) -> LogInvariantRes
 def _recolored_scalars(cfg: RibbonConfig, expr: TangleExpr, mod):
     """[(g, scale0)]: the scalar of the tangle endomorphism with the open
     strand recolored by each summand of the batched module mod, and the
-    eps^0 round-off scale of its contraction, from one evaluation.  A word
-    whose open strand no gate touches gives one unbatched matrix.
+    eps^0 round-off scale of its contraction, from one evaluation and one
+    scalar_of test of its (2, d, d) matrix, each summand against its own
+    scale.  A word whose open strand no gate touches gives one unbatched
+    matrix, whose scalar both summands share.
     """
     lm = eval_tangle(cfg, expr, open_module=mod)
+    g = scalar_of(lm.matrix, mod.dim, cfg.ctx.tol, lm.scale)
     n = mod.weights.shape[0]
-    mats = [lm.matrix[t] for t in range(n)] if len(lm.matrix.shape) > 2 else [lm.matrix] * n
-    scale, scale0 = np.broadcast_to(lm.scale, n), np.broadcast_to(lm.scale0, n)
-    return [(scalar_of(mats[t], mod.dim, cfg.ctx.tol, scale[t]), scale0[t]) for t in range(n)]
+    scale0 = np.broadcast_to(lm.scale0, n)
+    return [(g[t] if g.shape else g, scale0[t]) for t in range(n)]
 
 
 def log_hopf_closed(ctx: QContext, z_label, j: int, l: int):

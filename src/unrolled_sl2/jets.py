@@ -272,10 +272,13 @@ class Jet:
         if j.val < 0:
             raise PoleError("analytic function of a jet with a pole")
         n = j.val + j.order
-        c = np.zeros((n, *j.shape), dtype=complex)
-        c[j.val:] = j.c
+        if j.val == 0:  # c is read, never written
+            c = j.c
+        else:
+            c = np.zeros((n, *j.shape), dtype=complex)
+            c[j.val:] = j.c
         # nonzero slices of h = c - z0
-        hz = (np.flatnonzero(c.reshape(n, -1)[1:].any(axis=1)) + 1).tolist()
+        hz = [i for i in range(1, n) if c[i].any()]
         # h^k starts at slice k * hz[0], so it vanishes below the order beyond that
         d = derivs(c[0])
         taylor = [d[k % len(d)] / math.factorial(k)

@@ -55,12 +55,17 @@ def _period_reduced(ctx: QContext, x):
 
 def qpow(ctx: QContext, x):
     """q^x = exp(i*pi*x/r) for complex, array or jet x (arrays and jets entrywise),
-    with Re x (on a jet, of its eps^0 slice) first reduced modulo 2r; a jet
-    goes through Jet.exp."""
+    with Re x (on a jet, of its eps^0 slice) first reduced modulo 2r; a jet's
+    coefficient stack, reduced, is scaled by i pi / r in one product (copied
+    first only where the reduction moved a value) and goes through Jet.exp."""
     if isinstance(x, Jet):
+        c = x.c
         if x.val == 0:
-            x = Jet(np.concatenate([_period_reduced(ctx, x.c[:1]), x.c[1:]]), 0)
-        return ((1j * np.pi / ctx.r) * x).exp()
+            head = c[:1]
+            reduced = _period_reduced(ctx, head)
+            if reduced is not head:
+                c = np.concatenate([reduced, c[1:]])
+        return Jet((1j * np.pi / ctx.r) * c, x.val).exp()
     if np.ndim(x):
         return np.exp(1j * np.pi * _period_reduced(ctx, np.asarray(x, dtype=complex)) / ctx.r)
     return complex(np.exp(1j * np.pi * _period_reduced(ctx, complex(x)) / ctx.r))

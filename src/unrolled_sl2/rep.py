@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -223,14 +224,23 @@ class WeightModule:
     def is_jet(self) -> bool:
         return isinstance(self.weights, Jet)
 
+    def kept(self, key: str, build):
+        """build(), an ndarray or a jet, computed on the first call under key
+        and kept with the module, read-only: later calls return that object."""
+        memo = self.__dict__.get(key)
+        if memo is None:
+            memo = self.__dict__[key] = _read_only(build())
+        return memo
+
     def powers(self, gen: str):
         """gen^0, ..., gen^(r-1) of the generator gen ("E" or "F"), stacked on
-        axis -3 as _powers stacks them.  Built on first use and kept, read-only."""
-        memo = self.__dict__.get("_powers_" + gen)
-        if memo is None:
-            memo = self.__dict__["_powers_" + gen] = _read_only(_powers(getattr(self, gen),
-                                                                        self.ctx.r))
-        return memo
+        axis -3 as _powers stacks them.  Built on first use and kept, read-only;
+        an F that is the shared lowering shift (Typical, Simple) takes the
+        shared stack of its powers."""
+        a, r = getattr(self, gen), self.ctx.r
+        if a is _shift(self.dim):
+            return _shift_powers(self.dim, r)
+        return self.kept("_powers_" + gen, lambda: _powers(a, r))
 
     def __repr__(self):
         return f"WeightModule({format_label(self.label)}, r={self.ctx.r}, dim={self.dim})"
@@ -327,6 +337,20 @@ def _read_only(x):
     return x
 
 
+@lru_cache(maxsize=None)
+def _shift(dim: int) -> np.ndarray:
+    """The lowering shift np.eye(dim, k=-1): the F of every Typical (dim r)
+    and Simple (dim i + 1) module, one read-only matrix per dimension."""
+    return _read_only(np.eye(dim, k=-1, dtype=complex))
+
+
+@lru_cache(maxsize=None)
+def _shift_powers(dim: int, r: int) -> np.ndarray:
+    """Powers 0..r-1 of _shift(dim) as _powers stacks them, one read-only
+    stack per (dim, r), shared by every module whose F is the shift."""
+    return _read_only(_powers(_shift(dim), r))
+
+
 def mat_norm(m) -> float:
     if isinstance(m, Jet):
         return m.norm()
@@ -372,8 +396,7 @@ def _make_typical(ctx: QContext, alpha) -> WeightModule:
         label = alpha if alpha.ndim else complex(alpha)
     a = alpha[..., None]
     return _from_weights(ctx, Typical(label), a + np.arange(r - 1, -r, -2),
-                         lambda: (_diag(qint(ctx, k) * qint(ctx, k - a), 1),
-                                  np.eye(r, k=-1, dtype=complex)))
+                         lambda: (_diag(qint(ctx, k) * qint(ctx, k - a), 1), _shift(r)))
 
 
 def _make_simple(ctx: QContext, i: int, k: int) -> WeightModule:
@@ -384,9 +407,8 @@ def _make_simple(ctx: QContext, i: int, k: int) -> WeightModule:
     # the (-1)^k on E is forced by [E,F] acting as [i+kr-2j] on the twisted
     # weights; it is exactly the E x K coproduct factor on the character
     e = [(j - 1, j, (-1) ** k * qint(ctx, j) * qint(ctx, i + 1 - j)) for j in range(1, dim)]
-    f = [(j + 1, j, 1.0) for j in range(dim - 1)]
     return _from_weights(ctx, Simple(i, k), i + k * r - 2 * np.arange(dim),
-                         lambda: (_assemble(dim, e), _assemble(dim, f)))
+                         lambda: (_assemble(dim, e), _shift(dim)))
 
 
 def _make_onedim(ctx: QContext, k: int) -> WeightModule:

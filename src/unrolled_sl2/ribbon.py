@@ -28,6 +28,12 @@ stacks of powers of E and F from WeightModule.powers, which builds each
 once per module and keeps it read-only: a tangle evaluation reuses every
 strand's stacks across its crossings and twists, and the deformation
 families that deform caches per context reuse theirs across evaluations.
+What a module alone fixes of a gate is kept with it the same way
+(WeightModule.kept), per sign: its twist, and the half of the tail that
+it contributes, its E stack scaled by the tail's coefficients
+(_tail_stack).  So a cached family builds each twist and scaled stack
+once, and only the Cartan vector and the tail's matmul depend on the
+other strand.
 Every map also broadcasts over the leading batch axes B of a batched
 module (rep: Typical of a batch of weights, as the deformation path uses
 for both summands of a projective cover); an unbatched module is the case
@@ -39,7 +45,9 @@ calibrate() checks the convention once per context: open Hopf links
 evaluated by the tangle engine must match their closed forms on a sample
 battery.  scalar_of measures residuals against the round-off scale a
 tangle evaluation carries, and modified_trace passes it when given a
-LinearMap.
+LinearMap; it takes a batch (*B, d, d) with a scale of shape B and tests
+each matrix against its own scale, so both summands of a projective
+family go through one call.
 
 The modified trace is normalized on the weight-0 generic module and
 evaluated through its closed-form modified dimensions; on indecomposable
@@ -58,7 +66,7 @@ from .jets import Jet
 from .qnum import QContext, qbracket, qint, qpow
 from .rep import (
     DeformX, LinearMap, OneDim, Projective, SelfExt, Simple, Sum, Typical, WeightModule,
-    _diag, mat_norm, projective_cover, summand_weights,
+    _diag, projective_cover, summand_weights,
 )
 
 __all__ = [
@@ -144,17 +152,24 @@ def _tail_coefs(ctx: QContext, sign: int) -> np.ndarray:
     return c
 
 
+def _tail_stack(ctx: QContext, m: WeightModule, sign: int):
+    """_tail_coefs[k] E^k over k < r, stacked as m.powers("E") stacks them:
+    the half of the tail that m alone fixes, kept with m per sign, read-only."""
+    return m.kept(f"_tail_E_{sign}",
+                  lambda: _tail_coefs(ctx, sign)[:, None, None] * m.powers("E"))
+
+
 def _tail_part(ctx: QContext, m: WeightModule, n: WeightModule, sign: int):
     """Sum over k < r of _tail_coefs[k] E^k x F^k.
 
     This is the q-exponential of the nilpotent {1} E x F; sign = -1 gives
-    its inverse, since exp_q(x)^-1 = exp_(1/q)(-x).  The scaled E stack and
-    the F stack are contracted over k in one (dm^2, r) @ (r, dn^2) matmul,
-    whose (a c, b d) entries are transposed to the crossing's (a b, c d).
+    its inverse, since exp_q(x)^-1 = exp_(1/q)(-x).  The scaled E stack
+    (_tail_stack) and the F stack are contracted over k in one (dm^2, r) @
+    (r, dn^2) matmul, whose (a c, b d) entries are transposed to the
+    crossing's (a b, c d).
     """
     r, dm, dn = ctx.r, m.dim, n.dim
-    E = _tail_coefs(ctx, sign)[:, None, None] * m.powers("E")
-    F = n.powers("F")
+    E, F = _tail_stack(ctx, m, sign), n.powers("F")
     t = (E.reshape(*E.shape[:-3], r, dm * dm).swapaxes(-1, -2)
          @ F.reshape(*F.shape[:-3], r, dn * dn))
     B = t.shape[:-2]
@@ -211,7 +226,15 @@ def twist_matrix(cfg: RibbonConfig, m: WeightModule, sign: int = 1):
     gives sum_n c_n X^n Y^n q^(s (H + 2sn)(H + 2sp) / 2): one matmul of the
     stacked powers of X against those of Y with scaled columns: the X^n
     side by side, (d, r d), against the scaled Y^n on top of each other.
+    It depends on cfg only through r, so it is kept with m per sign
+    (WeightModule.kept): a deformation family's module, which persists,
+    builds each of its twists once.
     """
+    return m.kept(f"_twist_{sign}", lambda: _twist(cfg, m, sign))
+
+
+def _twist(cfg: RibbonConfig, m: WeightModule, sign: int):
+    """The closed form of twist_matrix, built afresh."""
     ctx, r, d, p = cfg.ctx, cfg.ctx.r, m.dim, cfg.pivot_exponent
     w, n = _weights(m)[..., None, :], np.arange(r)[:, None]
     X, Y = ("F", "E") if sign == 1 else ("E", "F")
@@ -299,17 +322,23 @@ def _dim_typical(ctx: QContext, alpha):
     return pref * qbracket(ctx, alpha) / qbracket(ctx, ctx.r * alpha)
 
 
-def scalar_of(mat, dim: int, tol: float, scale: float = 1.0):
+def scalar_of(mat, dim: int, tol: float, scale=1.0):
     """The scalar c with mat = c * Id, or NonScalarError.
 
     The residual is tested against tol times the larger of |mat| and scale,
-    the size of the states mat was contracted from (LinearMap.scale).
+    the size of the states mat was contracted from (LinearMap.scale).  mat
+    may be a batch (*B, d, d), float or jet, with scale of shape B (or a
+    number for all): each matrix is tested against its own |mat[t]| and
+    scale[t], and c has shape B.  A jet is tested on its coefficient stack.
     """
-    c = mat[0, 0]
-    resid = mat_norm(mat - c * np.eye(dim))
-    if resid > tol * max(scale, mat_norm(mat)):
-        raise NonScalarError(f"matrix is not scalar (residual {resid:.2e})")
-    return c if isinstance(c, Jet) else complex(c)
+    a, axes = (mat.c, (0, -2, -1)) if isinstance(mat, Jet) else (np.asarray(mat), (-2, -1))
+    resid = np.abs(a - a[..., :1, :1] * np.eye(dim)).max(axis=axes)
+    bound = tol * np.maximum(scale, np.abs(a).max(axis=axes))
+    if np.any(resid > bound):
+        worst = np.max(resid, where=resid > bound, initial=0.0)
+        raise NonScalarError(f"matrix is not scalar (residual {worst:.2e})")
+    c = mat[..., 0, 0]
+    return c if isinstance(c, Jet) or c.ndim else complex(c)
 
 
 def modified_trace(m: WeightModule, f):

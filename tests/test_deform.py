@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from unrolled_sl2 import deform, tangle
+from unrolled_sl2 import deform, ribbon, tangle
 from unrolled_sl2.jets import Jet
 from unrolled_sl2.qnum import QContext
 from unrolled_sl2.rep import DeformX, Projective, RangeError, Simple, Typical, make_module
@@ -12,7 +12,9 @@ from unrolled_sl2.tangle import (
     Insert, TangleExpr, decompose_endo, eval_tangle, hopf_tangle, parse_tangle,
     random_braid_tangle, renormalized_invariant, twist_loop_tangle,
 )
-from unrolled_sl2.deform import _family, dim_limit_check, log_hopf_closed, log_tangle_invariant
+from unrolled_sl2.deform import (
+    _family, _family_at, dim_limit_check, log_hopf_closed, log_tangle_invariant,
+)
 
 
 def test_empty_tangle_gives_dimension_and_identity():
@@ -239,17 +241,18 @@ def test_word_that_leaves_the_open_strand_alone():
 
 
 def test_family_cache_is_keyed_by_the_context_value():
-    """Equal contexts built apart share one entry; another tol or jet order
-    gets its own; the cache is bounded above one round's 45 families."""
-    _family.cache_clear()
+    """Equal contexts built apart share one entry, and so does another jet
+    order, which the entry does not depend on; another tol gets its own;
+    the cache is bounded above one round's 45 families."""
+    _family_at.cache_clear()
     entry = _family(QContext(3), 1, 0)
     assert _family(QContext(3), 1, 0) is entry
-    assert _family.cache_info().hits == 1
+    assert _family_at.cache_info().hits == 1
     assert _family(QContext(3, tol=1e-10), 1, 0) is not entry
-    assert _family(QContext(3, jet_order=7), 1, 0) is not entry
+    assert _family(QContext(3, jet_order=7), 1, 0) is entry
     assert _family(QContext(3), 1, 1) is not entry
-    info = _family.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 4, 4)
+    info = _family_at.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 3, 3)
     assert info.maxsize is not None and info.maxsize >= 45
 
 
@@ -307,12 +310,14 @@ def test_family_entries_are_read_only():
     """Module arrays, jet coefficients and power stacks of an entry refuse writes,
     also after the entry served an evaluation."""
     ctx = QContext(4)
+    _family_at.cache_clear()
     log_tangle_invariant(get_config(ctx), hopf_tangle(Projective(1, -1), Simple(2, 1)))
     entry = _family(ctx, 1, -1)
     mod = entry[0]
     arrays = list(_arrays(entry))
-    # E, F, the weights, the label's alpha, the two power stacks and three
-    # scalar jets
+    # E, F, the weights, the label's alpha, the E power stack, the scaled E
+    # stack of the positive crossings and three scalar jets; F's power stack
+    # is the shared one of the lowering shift, kept outside the entry
     assert len(arrays) == 9
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
@@ -331,29 +336,38 @@ def test_family_cache_gives_bit_identical_results(r):
     exprs.append(parse_tangle(
         f"open P({j},{l}) | insert 2 V(0.61-0.2i); tw+ 1; br+ 1; br+ 2; br- 2; tw- 2; "
         "br- 1; evR 2"))
-    _family.cache_clear()
+    _family_at.cache_clear()
     cold = [log_tangle_invariant(cfg, e) for e in exprs]
     warm = [log_tangle_invariant(cfg, e) for e in exprs]
-    _family.cache_clear()
+    _family_at.cache_clear()
     assert cold == warm == [log_tangle_invariant(cfg, e) for e in exprs]
 
 
 def test_warm_family_builds_no_open_module_and_no_dimension(monkeypatch):
     """On a warm entry only the closed colour's module is built, and no
-    modified dimension is computed; a cold entry builds both."""
+    modified dimension is computed; a cold entry builds both.  A twist of
+    the open strand is built once per family and sign: a warm call on a
+    twisted word computes no twist."""
     cfg = get_config(QContext(4))
     expr = hopf_tangle(Projective(1, 0), Simple(2, 1))
-    built, dims = [], []
+    built, dims, twists = [], [], []
     for mod in (deform, tangle):
         make = mod.make_module
         monkeypatch.setattr(mod, "make_module",
                             lambda ctx, lab, make=make: built.append(lab) or make(ctx, lab))
     dim = deform.modified_dim
     monkeypatch.setattr(deform, "modified_dim", lambda ctx, lab: dims.append(lab) or dim(ctx, lab))
-    _family.cache_clear()
+    twist = ribbon._twist
+    monkeypatch.setattr(ribbon, "_twist", lambda cfg, m, s: twists.append(s) or twist(cfg, m, s))
+    _family_at.cache_clear()
     log_tangle_invariant(cfg, expr)
     assert len(built) == 2 and len(dims) == 2
     built.clear()
     dims.clear()
     log_tangle_invariant(cfg, expr)
     assert built == [Simple(2, 1)] and dims == []
+    twisted = parse_tangle("open P(1,0) | insert 2 S(2,1); tw+ 1; br+ 1; br+ 1; tw- 1; evR 2")
+    cold = log_tangle_invariant(cfg, twisted)
+    assert twists == [1, -1]
+    twists.clear()
+    assert log_tangle_invariant(cfg, twisted) == cold and twists == []

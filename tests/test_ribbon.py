@@ -527,3 +527,107 @@ def test_eval_tangle_builds_each_module_s_powers_once(monkeypatch):
     eval_tangle(cfg, expr, open_module=open_module)
     assert 0 < len(built) <= 2 * 3
     assert all(a is not b for i, a in enumerate(built) for b in built[:i])
+
+
+def _assert_same_bits(got, want):
+    """Equal floats or jets, to the bit, zero signs included."""
+    if isinstance(want, Jet):
+        assert isinstance(got, Jet) and got.val == want.val
+        got, want = got.c, want.c
+    assert got.shape == want.shape and np.array_equal(got, want)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+@pytest.mark.parametrize("r", RS + [6])
+def test_family_twist_and_tail_stack_are_kept_with_the_module(r):
+    """On a deformation family's module the twist and the scaled E stack of
+    the tail come back as the same read-only object on a second call, and
+    equal a fresh build on an unmemoised copy of the module to the bit."""
+    from unrolled_sl2.deform import _family
+    from unrolled_sl2.ribbon import _tail_stack
+
+    ctx = QContext(r)
+    cfg = get_config(ctx)
+    for i, l in ((0, -1), (r - 2, 1)):
+        mod = _family(ctx, i, l)[0]
+        for sign in (1, -1):
+            fresh = dataclasses.replace(mod)  # the same arrays, nothing kept yet
+            for build in (lambda m: twist_matrix(cfg, m, sign),
+                          lambda m: _tail_stack(ctx, m, sign)):
+                kept = build(mod)
+                assert build(mod) is kept
+                assert not kept.c.flags.writeable
+                _assert_same_bits(kept, build(fresh))
+
+
+@pytest.mark.parametrize("r", RS + [6])
+def test_typical_and_simple_share_one_shift_stack(r):
+    """The F of every Typical and Simple module is the read-only lowering
+    shift of its dimension, and its power stack is one shared read-only
+    stack per (dim, r), equal to the repeated products."""
+    ctx = QContext(r)
+    e = ctx.eps()
+    mods = [make_module(ctx, Typical(0.37 - 0.21j)), make_module(ctx, Typical(1.5 + e)),
+            make_module(ctx, Typical(_stack((0.4 + e, -1.13 + e))))]
+    mods += [make_module(ctx, Simple(i, k)) for i in range(r - 1) for k in (-1, 1)]
+    for m in mods:
+        stack = m.powers("F")
+        assert m.F is rep._shift(m.dim) and stack is rep._shift_powers(m.dim, r)
+        assert not m.F.flags.writeable and not stack.flags.writeable
+        _assert_same_bits(stack, rep._powers(np.eye(m.dim, k=-1), r))
+        assert "_powers_F" not in vars(m)
+
+
+def _batch(d, jet):
+    """Two scalar matrices 1.5 Id and (-0.25 + 2i) Id, as a (2, d, d) float
+    batch or a two-slice jet batch, with its slices per summand."""
+    c = np.array([1.5, -0.25 + 2j])[:, None, None] * np.eye(d)
+    if not jet:
+        return c
+    return Jet(np.stack([c, (np.array([0.5j, -3.0])[:, None, None] * np.eye(d))]), 0)
+
+
+@pytest.mark.parametrize("jet", [False, True], ids=["float", "jet"])
+def test_batched_scalar_of_matches_one_call_per_matrix(jet):
+    """A (2, d, d) batch gives the bits of one scalar_of call per matrix."""
+    d, scale = 4, np.array([3.0, 1e3])
+    mats = _batch(d, jet)
+    got = scalar_of(mats, d, 1e-9, scale)
+    for t in range(2):
+        want = scalar_of(mats[t], d, 1e-9, scale[t])
+        if jet:
+            _assert_same_bits(got[t], want)
+        else:
+            _assert_same_bits(got[t:t + 1], np.array([want]))
+
+
+@pytest.mark.parametrize("jet", [False, True], ids=["float", "jet"])
+@pytest.mark.parametrize("t", [0, 1])
+def test_batched_scalar_of_refuses_either_summand_alone(t, jet):
+    """An off-diagonal entry of 1e-6 times the scale in one summand raises
+    NonScalarError, with its residual in the message."""
+    d, scale = 3, np.array([10.0, 10.0])
+    mats = _batch(d, jet)
+    c = (mats.c if jet else mats).copy()
+    c[(..., t, 0, 2)] += 1e-6 * scale[t]
+    with pytest.raises(NonScalarError, match=f"residual {1e-6 * scale[t]:.2e}"):
+        scalar_of(Jet(c, 0) if jet else c, d, 1e-9, scale)
+
+
+@pytest.mark.parametrize("jet", [False, True], ids=["float", "jet"])
+@pytest.mark.parametrize("t", [0, 1])
+def test_batched_scalar_of_judges_each_summand_by_its_own_scale(t, jet):
+    """A residual of 1e-7 in summand t passes against a scale of 1e3 there
+    (tol 1e-9) and fails against a scale of 1 there, whatever the other
+    summand's scale."""
+    d = 3
+    mats = _batch(d, jet)
+    c = (mats.c if jet else mats).copy()
+    c[(..., t, 1, 0)] += 1e-7
+    bad = Jet(c, 0) if jet else c
+    big, small = np.full(2, 1.0), np.full(2, 1e3)
+    big[t], small[t] = 1e3, 1.0
+    scalar_of(bad, d, 1e-9, big)
+    with pytest.raises(NonScalarError):
+        scalar_of(bad, d, 1e-9, small)
