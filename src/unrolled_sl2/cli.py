@@ -126,8 +126,10 @@ def cmd_tangle(args, ctx) -> dict:
         })
     else:
         lm = eval_tangle(cfg, expr)
-        g = scalar_of(lm.matrix, lm.source.dim, ctx.tol, lm.scale)
+        # the trace first: it refuses an open color outside the generic ideal
+        # (NotProjectiveError) before the scalar test can fail on it
         inv = modified_trace(lm.source, lm)
+        g = scalar_of(lm.matrix, lm.source.dim, ctx.tol, lm.scale)
         mat = np.asarray(lm.matrix)
         resid = float(np.max(np.abs(mat - g * np.eye(lm.source.dim))))
         payload.update({"invariant": _cnum(inv), "scalar": _cnum(g),

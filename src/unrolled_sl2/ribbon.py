@@ -29,11 +29,12 @@ once per module and keeps it read-only: a tangle evaluation reuses every
 strand's stacks across its crossings and twists, and the deformation
 families that deform caches per context reuse theirs across evaluations.
 What a module alone fixes of a gate is kept with it the same way
-(WeightModule.kept), per sign: its twist, and the half of the tail that
+(WeightModule.kept): per sign, its twist and the half of the tail that
 it contributes, its E stack scaled by the tail's coefficients
-(_tail_stack).  So a cached family builds each twist and scaled stack
-once, and only the Cartan vector and the tail's matmul depend on the
-other strand.
+(_tail_stack); and the pivot gates of its right duality (ev_right,
+coev_right).  So a cached family, and a discrete-colored module that the
+tangle engine stores per context, builds each of these once, and only
+the Cartan vector and the tail's matmul depend on the other strand.
 Every map also broadcasts over the leading batch axes B of a batched
 module (rep: Typical of a batch of weights, as the deformation path uses
 for both summands of a projective cover); an unbatched module is the case
@@ -262,15 +263,20 @@ def coev_left(cfg, m: WeightModule):
 
 
 def ev_right(cfg, m: WeightModule):
-    """M x M* -> C through the pivot."""
-    p = _pivot_matrix(cfg, m)
-    return p.swapaxes(-1, -2).reshape(*p.shape[:-2], 1, m.dim ** 2)
+    """M x M* -> C through the pivot.  It depends on cfg only through r, so
+    it is kept with m (WeightModule.kept), as the twist is."""
+    def build():
+        p = _pivot_matrix(cfg, m)
+        return p.swapaxes(-1, -2).reshape(*p.shape[:-2], 1, m.dim ** 2)
+    return m.kept("_ev_right", build)
 
 
 def coev_right(cfg, m: WeightModule):
-    """C -> M* x M through the inverse pivot."""
-    p = _pivot_matrix(cfg, m, -1)
-    return p.swapaxes(-1, -2).reshape(*p.shape[:-2], m.dim ** 2, 1)
+    """C -> M* x M through the inverse pivot; kept with m, as ev_right is."""
+    def build():
+        p = _pivot_matrix(cfg, m, -1)
+        return p.swapaxes(-1, -2).reshape(*p.shape[:-2], m.dim ** 2, 1)
+    return m.kept("_coev_right", build)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -171,7 +171,10 @@ def projective_strip(ctx: QContext, j: int, k: int):
 
 
 def strip_eps(ctx: QContext, k: int, m: int, re_part: float = -0.37) -> complex:
-    """A representative point at the center of strip (k, m)."""
+    """A representative point at the center of strip (k, m); ValueError on a
+    real part that is not finite."""
+    if not isfinite(re_part):
+        raise ValueError(f"Re(eps) must be finite, got {re_part}")
     n = 2 * ctx.r * k + m
     return complex(re_part, n / sqrt(2 * ctx.r))
 

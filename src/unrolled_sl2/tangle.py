@@ -7,9 +7,15 @@ dual flags compose and return to the single open color, and pairs each
 slice with the strands it acts on, each keyed by its color label or, for
 the open strand itself, by a sentinel.  Parsing returns the walk's normal
 form, with presets expanded to frozen slice words.  The evaluator walks
-once, looks each strand's module up in a dict that builds it (and a dual
-from it) on first use, and acts with a cup or cap through the module of
-its non-dual strand.  It contracts one slice gate at a time into a batched
+once, looks each strand's module up on first use, and acts with a cup or
+cap through the module of its non-dual strand.  A discrete color (Simple,
+Projective, OneDim: finitely many per r, up to the twist k) takes its
+module, and its dual, from a store kept per context (_stored_module: keyed
+by r, tol, label and dual flag, at most 128 entries, every array
+read-only), so a stored module's powers, tail stacks, twists and pivot
+gates (WeightModule.kept) are built once across evaluations.  A Typical or
+DeformX color has a continuous parameter and is built per call, its dual
+from it.  The evaluator contracts one slice gate at a time into a batched
 state vector, so tensor words never materialize full composite matrices.
 The state starts as a plain identity and turns into a jet at the first
 jet gate; a crossing is applied to it as its factors (ribbon.crossing),
@@ -43,14 +49,17 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 
 import numpy as np
 
 from .jets import Jet, as_jet
+from .qnum import QContext
 from .rep import (
-    DeformX, LinearMap, OneDim, Projective, Simple, Typical, WeightModule, deformable_layout,
-    dual, format_label, intertwiner_residual, make_module, parse_complex, projective_cover,
+    DeformX, LinearMap, OneDim, Projective, Simple, Typical, WeightModule, _read_only,
+    deformable_layout, dual, format_label, intertwiner_residual, make_module, parse_complex,
+    projective_cover,
 )
 from .ribbon import (
     Crossing, RibbonConfig, coev_left, coev_right, crossing, ev_left, ev_right,
@@ -397,6 +406,23 @@ def _peaks(state):
     return a.max(axis=(0, -2, -1)), a[:max(1 - state.val, 0)].max(axis=(0, -2, -1), initial=0.0)
 
 
+# labels without a continuous parameter: finitely many per r, up to the twist k
+_DISCRETE = (Simple, Projective, OneDim)
+
+
+@lru_cache(maxsize=128)
+def _stored_module(r: int, tol: float, label, is_dual: bool) -> WeightModule:
+    """The module of a discrete color label at QContext(r, tol), or its dual
+    (the dual of the stored plain module), every array read-only.  Keyed by
+    value and by the context's r and tol only, the fields a module reads, so
+    contexts that differ in their jet order share an entry."""
+    m = (dual(_stored_module(r, tol, label, False)) if is_dual
+         else make_module(QContext(r, tol), label))
+    for a in (m.E, m.F, m.weights):
+        _read_only(a)
+    return m
+
+
 def eval_tangle(cfg: RibbonConfig, expr: TangleExpr,
                 open_module: WeightModule | None = None) -> LinearMap:
     """Compose the slice maps bottom to top into an endomorphism of the open color.
@@ -411,21 +437,23 @@ def eval_tangle(cfg: RibbonConfig, expr: TangleExpr,
     """
     ctx = cfg.ctx
     expr, acts = _walk(expr)
-    recolored = open_module is not None
-    if open_module is None:
-        open_module = make_module(ctx, expr.open_color)
-    mods = {(_OPEN, False): open_module}
-    if not recolored:  # closed strands of the open color share its module
-        mods[expr.open_color, False] = open_module
+    mods = {}
 
     def module(key, is_dual: bool) -> WeightModule:
-        """The module of a strand, built on first use; a dual from its plain module."""
+        """The module of a strand: from the store for a discrete color, else
+        built on first use in this call, a dual from its plain module."""
         if (key, is_dual) not in mods:
-            if (key, False) not in mods:
-                mods[key, False] = make_module(ctx, key)
-            if is_dual:
-                mods[key, True] = dual(mods[key, False])
+            if isinstance(key, _DISCRETE):
+                mods[key, is_dual] = _stored_module(ctx.r, ctx.tol, key, is_dual)
+            else:
+                mods[key, is_dual] = (dual(module(key, False)) if is_dual
+                                      else make_module(ctx, key))
         return mods[key, is_dual]
+
+    recolored = open_module is not None
+    if not recolored:  # closed strands of the open color share its module
+        open_module = module(expr.open_color, False)
+    mods[_OPEN, False] = open_module
 
     dW = open_module.dim
     state = np.eye(dW, dtype=complex)  # batched over basis columns; a jet from the first jet gate

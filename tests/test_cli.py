@@ -114,6 +114,17 @@ def test_compare_both_modes(capsys):
     assert json.loads(out)["ok"] is True
 
 
+@pytest.mark.parametrize("re_part", ["nan", "inf", "-inf"])
+def test_non_finite_strip_real_part_is_usage_error(capsys, re_part):
+    """A real part of eps that is not finite is refused, as a tolerance is,
+    instead of printing a NaN or an Infinity in the JSON."""
+    code, out, err = run(capsys, "compare", "--r", "3", "--mode", "strip", "--X", "S(1,0)",
+                         "--j", "0", f"--eps-re={re_part}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: Re(eps) must be finite, got {float(re_part)}\n"
+
+
 def test_sweep_csv_and_determinism(capsys):
     argv = ["sweep", "--r", "2", "--labels", "M(1,1);F(0.25)",
             "--eps", "0.3;-0.6;-0.6+0.5i", "--output", "csv"]
@@ -154,6 +165,11 @@ def test_boundary_eps_is_usage_error(capsys):
                  id="open S(0,0) | hopf V(0.3)"),
     pytest.param("open V(1) | hopf V(0.3)", "non-generic integer weight 1",
                  id="open V(1) | hopf V(0.3)"),
+    # a non-simple direct sum, whose matrix is not scalar: the trace refuses it
+    # before the scalar test would report a mismatch
+    pytest.param("open X(0,0,0.1) | hopf V(0.2)",
+                 "DeformX(i=0, l=0, eps=(0.1+0j)): only generic colors",
+                 id="open X(0,0,0.1) | hopf V(0.2)"),
 ])
 def test_non_projective_open_color_is_usage_error(capsys, expr, says):
     code, out, err = run(capsys, "tangle", "--r", "3", "--expr", expr)

@@ -344,10 +344,10 @@ def test_family_cache_gives_bit_identical_results(r):
 
 
 def test_warm_family_builds_no_open_module_and_no_dimension(monkeypatch):
-    """On a warm entry only the closed colour's module is built, and no
-    modified dimension is computed; a cold entry builds both.  A twist of
-    the open strand is built once per family and sign: a warm call on a
-    twisted word computes no twist."""
+    """On a warm entry no module is built (the closed colour's module is
+    stored by tangle) and no modified dimension is computed; a cold entry
+    builds both.  A twist of the open strand is built once per family and
+    sign: a warm call on a twisted word computes no twist."""
     cfg = get_config(QContext(4))
     expr = hopf_tangle(Projective(1, 0), Simple(2, 1))
     built, dims, twists = [], [], []
@@ -360,12 +360,13 @@ def test_warm_family_builds_no_open_module_and_no_dimension(monkeypatch):
     twist = ribbon._twist
     monkeypatch.setattr(ribbon, "_twist", lambda cfg, m, s: twists.append(s) or twist(cfg, m, s))
     _family_at.cache_clear()
+    tangle._stored_module.cache_clear()
     log_tangle_invariant(cfg, expr)
     assert len(built) == 2 and len(dims) == 2
     built.clear()
     dims.clear()
     log_tangle_invariant(cfg, expr)
-    assert built == [Simple(2, 1)] and dims == []
+    assert built == [] and dims == []
     twisted = parse_tangle("open P(1,0) | insert 2 S(2,1); tw+ 1; br+ 1; br+ 1; tw- 1; evR 2")
     cold = log_tangle_invariant(cfg, twisted)
     assert twists == [1, -1]

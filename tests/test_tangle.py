@@ -5,13 +5,13 @@ import pytest
 
 from unrolled_sl2.qnum import QContext
 from unrolled_sl2.rep import (
-    DeformX, LinearMap, Projective, Simple, Typical, hom_space, intertwiner_residual,
-    make_module, summand_weights,
+    DeformX, LinearMap, OneDim, Projective, Simple, Typical, dual, hom_space,
+    intertwiner_residual, make_module, summand_weights,
 )
 from unrolled_sl2 import tangle
 from unrolled_sl2.ribbon import (
-    braiding_matrix, coev_left, ev_right, get_config, hopf_closed_form, modified_dim,
-    scalar_of,
+    braiding_matrix, coev_left, coev_right, ev_right, get_config, hopf_closed_form,
+    modified_dim, scalar_of,
 )
 from unrolled_sl2.tangle import (
     BasisError, Braid, Coev, Ev, Insert, TangleExpr, TangleSyntaxError,
@@ -336,3 +336,121 @@ def test_batched_open_module_equals_each_summand(r):
             assert _same_jet(mat, one.matrix, 1e-14), body
             for got, want in ((lm.scale, one.scale), (lm.scale0, one.scale0)):
                 assert np.broadcast_to(got, 2)[t] == pytest.approx(want, rel=1e-14, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# the store of discrete-coloured strand modules
+
+
+def _same_bits(got, want):
+    """Equal arrays, to the bit, zero signs included."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+def _discrete_colours(r):
+    return [Simple(r - 2, 1), Simple(0, -1), Projective(0, 1), Projective(r - 2, -1), OneDim(2)]
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_stored_module_is_one_read_only_object_per_value(r):
+    """A warm lookup of a discrete colour returns the stored object, whose
+    arrays, and the pivot gates kept with it, refuse an in-place write.  The
+    dual is an entry of its own, the dual of the stored plain module."""
+    store = tangle._stored_module
+    cfg = get_config(QContext(r))
+    tol = cfg.ctx.tol
+    store.cache_clear()
+    for n, lab in enumerate(_discrete_colours(r), 1):
+        m = store(r, tol, lab, False)
+        assert store(r, tol, lab, False) is m and m.label == lab
+        d = store(r, tol, lab, True)
+        assert store(r, tol, lab, True) is d and d is not m
+        assert store.cache_info().currsize == 2 * n
+        want = dual(make_module(QContext(r), lab))
+        for got, ref in ((d.E, want.E), (d.F, want.F), (d.weights, want.weights)):
+            _same_bits(got, ref)
+        for mod in (m, d):
+            gates = (ev_right(cfg, mod), coev_right(cfg, mod))
+            assert ev_right(cfg, mod) is gates[0] and coev_right(cfg, mod) is gates[1]
+            for a in (mod.E, mod.F, mod.weights, *gates):
+                assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                mod.E[0, 0] = 1
+            with pytest.raises(ValueError):
+                mod.weights[0] = 0
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_continuous_colours_are_built_per_call(r, monkeypatch):
+    """Typical and DeformX colours carry a continuous parameter: every
+    evaluation builds their modules afresh and stores none of them."""
+    cfg = get_config(QContext(r))
+    built, make = [], tangle.make_module
+    monkeypatch.setattr(tangle, "make_module",
+                        lambda ctx, lab: built.append(make(ctx, lab)) or built[-1])
+    expr = parse_tangle("open X(0,1,0.25) | insert 2 V(0.37-0.2i); br+ 1; br- 2; br- 2; "
+                        "br+ 1; tw- 1; evR 2")
+    tangle._stored_module.cache_clear()
+    eval_tangle(cfg, expr)
+    eval_tangle(cfg, expr)
+    assert [m.label for m in built] == [DeformX(0, 1, 0.25), Typical(0.37 - 0.2j)] * 2
+    assert all(a is not b for i, a in enumerate(built) for b in built[:i])
+    assert tangle._stored_module.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_store_is_keyed_by_r_and_tol(r, monkeypatch):
+    """A context that differs only in its jet order shares the stored modules;
+    one with another tolerance builds its own."""
+    cfgs = [get_config(QContext(r)), get_config(QContext(r, jet_order=7)),
+            get_config(QContext(r, tol=1e-10))]
+    built, make = [], tangle.make_module
+    monkeypatch.setattr(tangle, "make_module",
+                        lambda ctx, lab: built.append((ctx.tol, lab)) or make(ctx, lab))
+    expr = hopf_tangle(Projective(r - 2, 1), Simple(0, -1))
+    tangle._stored_module.cache_clear()
+    lms = [eval_tangle(cfg, expr) for cfg in cfgs]
+    assert built == [(tol, lab) for tol in (1e-9, 1e-10)
+                     for lab in (Projective(r - 2, 1), Simple(0, -1))]
+    assert lms[1].source is lms[0].source and lms[2].source is not lms[0].source
+    assert lms[2].source.ctx == cfgs[2].ctx
+    _same_bits(lms[1].matrix, lms[0].matrix)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_store_gives_bit_identical_results(r):
+    """Cold, warm and rebuilt stores give the same bits on float-on-P
+    (decompose_endo of eval_tangle on the cover) and on the jet route."""
+    from unrolled_sl2.deform import log_tangle_invariant
+
+    cfg = get_config(QContext(r))
+    i, l = r - 2, -1
+    route = [hopf_tangle(Projective(i, l), z)
+             for z in (Simple(0, 1), Projective(0, 1), OneDim(-1), Typical(0.37 + 0.11j))]
+    route += [parse_tangle(f"open P({i},{l}) | insert 2 {z}; tw+ 1; br+ 1; br+ 2; br- 2; "
+                           "tw- 2; br- 1; evR 2") for z in ("S(0,-1)", "P(0,1)")]
+    capped = parse_tangle(f"open P({i},{l}) | coevR; br+ 1; br- 1; tw+ 1; evR")
+
+    def results():
+        out = []
+        for expr in route + [capped]:
+            lm = eval_tangle(cfg, expr)
+            d = decompose_endo(lm, lm.source)
+            out.append([lm.matrix, d.a, d.b])
+        for expr in route:
+            res = log_tangle_invariant(cfg, expr)
+            out.append([res.trace, res.a, res.b, res.residual_cross_check])
+        return out
+
+    tangle._stored_module.cache_clear()
+    cold = results()
+    warm = results()
+    tangle._stored_module.cache_clear()
+    rebuilt = results()
+    for runs in zip(cold, warm, rebuilt):
+        for want, *others in zip(*runs):
+            for got in others:
+                _same_bits(got, want)
