@@ -266,14 +266,16 @@ _VALUE_FLAGS = ("--eps", "--beta", "--eps-re")
 
 
 def _join_negative_values(argv):
-    """Fold `--eps -0.6+0.0i` into `--eps=-0.6+0.0i` so argparse accepts it."""
+    """Fold `--eps -0.6+0.0i` (or `--eps -i`, `--eps-re -inf`: any next token
+    with a single leading '-') into `--eps=-0.6+0.0i` so argparse accepts it
+    and the value reaches its own check."""
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1][:1] == "-" \
-                and len(argv[i + 1]) > 1 and (argv[i + 1][1].isdigit() or argv[i + 1][1] == "."):
-            out.append(f"{tok}={argv[i + 1]}")
+        nxt = argv[i + 1] if i + 1 < len(argv) else ""
+        if tok in _VALUE_FLAGS and nxt.startswith("-") and not nxt.startswith("--"):
+            out.append(f"{tok}={nxt}")
             i += 2
             continue
         out.append(tok)

@@ -175,8 +175,10 @@ def log_hopf_closed(ctx: QContext, z_label, j: int, l: int):
 
     The sign exponents carry the full twist dependence k(j+1+r(l+1)) on the
     simple/projective closed colors and l(r+1) on the generic one; at zero
-    twists they reduce to the familiar short forms.
+    twists they reduce to the familiar short forms.  RangeError for j
+    outside 0..r-2, as for the open color P(j, l).
     """
+    _open_indices(ctx, Projective(j, l))
     r = ctx.r
     J1 = j + 1
     br = lambda x: qbracket(ctx, x)

@@ -6,8 +6,9 @@ jets.  Constructors cover: r-dimensional generic highest-weight modules,
 characters, the 2r-dimensional deformable family (whose eps = 0 member is
 the projective cover), the projective covers themselves, and the
 non-semisimple self-extension of a generic module.  Tensor products, duals,
-direct sums, a relation verifier, an intertwiner-space solver (the oracle
-for maps built in closed form), and the explicit eps != 0 change of basis
+direct sums, a relation verifier, an intertwiner-space solver (an
+orthonormal basis taken from the SVD nullspace; the oracle for maps built
+in closed form), and the explicit eps != 0 change of basis
 onto the two-summand decomposition complete the toolbox.  A module is
 immutable: E, F, the H-weights w (a
 complex array, or a vector jet on the deformation path) and the nilpotent
@@ -20,13 +21,14 @@ weights, E, H, K and K^-1 then have B as leading axes.
 from __future__ import annotations
 
 import cmath
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Union
 
 import numpy as np
 
-from .jets import Jet
+from .jets import Jet, as_jet
 from .qnum import QContext, qint, qpow
 
 __all__ = [
@@ -171,13 +173,14 @@ def _fmt_num(z) -> str:
 def parse_complex(text: str) -> complex:
     """Parse 'a', 'bi' or 'a+bi' literals, as _fmt_num prints them; spaces are
     ignored and I or j also name the unit.  Any other character (as in nan,
-    inf or 1_0), and a literal that overflows to infinity (as 1e400), is
-    refused with ValueError."""
+    inf or 1_0), a malformed literal (as 1e or 1+), and a literal that
+    overflows to infinity (as 1e400), is refused with ValueError naming it."""
     t = "".join(text.split()).replace("I", "j").replace("i", "j")
     if not set(t) - set("0123456789.eE+-j"):
-        z = complex(t)
-        if cmath.isfinite(z):
-            return z
+        with suppress(ValueError):
+            z = complex(t)
+            if cmath.isfinite(z):
+                return z
     raise ValueError(f"bad complex literal {text!r}")
 
 
@@ -306,12 +309,7 @@ def _stack(mats, axis: int = 0):
         return _moved(np.array(mats, dtype=complex), 0, axis)
     val = min(0, *(j.val for j in jets))
     n = min(j.val + j.order for j in jets) - val
-    c = np.zeros((n, len(mats), *jets[0].shape), dtype=complex)
-    for t, a in enumerate(mats):
-        if isinstance(a, Jet):
-            c[a.val - val:, t] = a.c[:max(n - a.val + val, 0)]
-        elif -val < n:
-            c[-val, t] = a
+    c = np.stack([as_jet(a, 1)._placed(val, n, jets[0].shape) for a in mats], 1)
     return Jet(_moved(c, 1, axis + 1 if axis >= 0 else axis), val)
 
 
@@ -375,10 +373,6 @@ def make_module(ctx: QContext, label) -> WeightModule:
         return _make_selfext(ctx, label.lam)
     if isinstance(label, DeformX):
         return make_deformable(ctx, label.i, label.l, label.eps)
-    if isinstance(label, Tensor):
-        return tensor(make_module(ctx, label.left), make_module(ctx, label.right))
-    if isinstance(label, Sum):
-        return direct_sum(*[make_module(ctx, p) for p in label.parts])
     if isinstance(label, Dual):
         return dual(make_module(ctx, label.inner))
     raise TypeError(f"not a module label: {label!r}")
@@ -602,9 +596,6 @@ class RelationReport:
     failed: list
     residuals: dict = field(default_factory=dict)
 
-    def ok(self, tol: float) -> bool:
-        return self.max_residual < tol
-
 
 def _rel_residual(lhs_terms) -> float:
     """Norm of the sum of terms, relative to the largest term magnitude."""
@@ -654,12 +645,13 @@ _WTOL = 1e-8  # weights closer than this are matched by hom_space
 
 
 def hom_space(m: WeightModule, n: WeightModule):
-    """Basis of maps A with A rho_M(g) = rho_N(g) A for g in {E, F, H, K}.
+    """Orthonormal basis, as vectors, of the maps A with A rho_M(g) =
+    rho_N(g) A for g in {E, F, H, K}.
 
     Entries between distinct generalized H-weights vanish, so the linear
-    system is restricted to weight-matched entries before the SVD nullspace.
-    The returned orthonormal basis is deterministic: pivots are chosen
-    greedily along a weight-sorted entry order.
+    system is restricted to weight-matched entries.  Its thin SVD's right
+    singular vectors past the rank (singular values above tol * max(s_max,
+    1)) are the basis: one map per vector, placed on those entries.
     """
     if m.is_jet or n.is_jet:
         raise TypeError("hom_space expects numeric modules")
@@ -681,31 +673,9 @@ def hom_space(m: WeightModule, n: WeightModule):
     S = S.reshape(-1, cand.size)
     # thin SVD: the system is tall, so vh is square; U is never used
     _, sv, vh = np.linalg.svd(S, full_matrices=False)
-    smax = sv[0] if len(sv) else 0.0
-    cut = m.ctx.tol * max(smax, 1.0)
-    rank = int(np.sum(sv > cut))
-    null = vh[rank:].conj().T  # (len(cand), dnull)
-    dnull = null.shape[1]
-    if dnull == 0:
-        return []
-    proj = null @ null.conj().T
-    order = sorted(range(cand.size),
-                   key=lambda c: (round(wn[rows[c]].real, 6), round(wn[rows[c]].imag, 6), cand[c]))
-    basis = []
-    for c in order:
-        v = proj[:, c].copy()
-        for u_ in basis:
-            v -= (u_.conj() @ v) * u_
-        nv = np.linalg.norm(v)
-        if nv > 1e-8:
-            # fix the phase: make the pivot entry real positive
-            v = v / nv
-            v = v * np.exp(-1j * np.angle(v[c]))
-            basis.append(v)
-        if len(basis) == dnull:
-            break
+    rank = int(np.sum(sv > m.ctx.tol * max(sv[0], 1.0)))
     maps = []
-    for v in basis:
+    for v in vh[rank:].conj():
         A = np.zeros((n.dim, m.dim), dtype=complex)
         A.ravel()[cand] = v
         maps.append(LinearMap(m, n, A))

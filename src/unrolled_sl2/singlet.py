@@ -258,12 +258,6 @@ class FusionVector:
             if self.terms[k] == 0:
                 del self.terms[k]
 
-    def __add__(self, other):
-        out = FusionVector(self.terms)
-        for lab, mult in other.terms.items():
-            out._add(lab, mult)
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, FusionVector) or len(self.terms) != len(other.terms):
             return False

@@ -95,6 +95,37 @@ def test_qdim_example(capsys):
     assert doc["regime"] == "strip(0,0)"
 
 
+def test_negative_value_after_a_space(capsys):
+    """`--eps -i` reads as `--eps=-i` does."""
+    spaced = run(capsys, "qdim", "--r", "2", "--label", "M(2,1)", "--eps", "-i")
+    joined = run(capsys, "qdim", "--r", "2", "--label", "M(2,1)", "--eps=-i")
+    assert spaced == joined
+    assert spaced[0] == 0
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["compare", "--mode", "strip", "--r", "3", "--X", "S(0,0)", "--j", "0", "--eps-re", "-inf"],
+     "error: Re(eps) must be finite, got -inf\n"),
+    (["hopf", "--r", "3", "--closed", "S(1,0)", "--beta", "-inf"],
+     "error: bad complex literal '-inf'\n"),
+    (["qdim", "--r", "2", "--label", "M(2,1)", "--eps", "-nan"],
+     "error: bad complex literal '-nan'\n"),
+])
+def test_negative_value_reaches_its_own_check(capsys, argv, says):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", says)
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["sweep", "--r", "2", "--labels", "M(1,1)", "--eps", "0.3;1e"], "1e"),
+    (["sweep", "--r", "2", "--labels", "M(1,1)", "--eps", "1+"], "1+"),
+    (["qdim", "--r", "2", "--label", "F(1..2)", "--eps", "0.3"], "1..2"),
+])
+def test_malformed_literal_is_named(capsys, argv, bad):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: bad complex literal '{bad}'\n")
+
+
 def test_fusion_example(capsys):
     code, out, _ = run(capsys, "fusion", "--r", "2", "--X", "M(2,2)", "--Y", "M(3,2)")
     assert code == 0
@@ -184,6 +215,15 @@ def test_projective_index_out_of_range_is_usage_error(capsys, expr):
     code, out, err = run(capsys, "tangle", "--r", "3", "--expr", expr)
     assert code == 2
     assert err == "error: projective index must lie in 0..1, got 5\n"
+
+
+@pytest.mark.parametrize("j", ["-1", "2"])
+@pytest.mark.parametrize("z", ["S(1,0)", "V(0.3)", "P(0,0)"])
+def test_loghopf_projective_index_out_of_range_is_usage_error(capsys, j, z):
+    code, out, err = run(capsys, "loghopf", "--r", "3", "--Z", z, "--j", j)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: projective index must lie in 0..1, got {j}\n"
 
 
 def test_identity_coefficient_round_off_is_not_a_mismatch(capsys):

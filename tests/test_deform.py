@@ -183,6 +183,13 @@ def test_projective_index_out_of_range(open_color):
         eval_tangle(cfg, t)
 
 
+@pytest.mark.parametrize("j", [-1, 2])
+@pytest.mark.parametrize("z", [Simple(1, 0), Typical(0.3), Projective(0, 0)])
+def test_closed_form_projective_index_out_of_range(j, z):
+    with pytest.raises(RangeError, match=f"0..1, got {j}"):
+        log_hopf_closed(QContext(3), z, j, 0)
+
+
 @pytest.mark.parametrize("r", [2, 3, 5])
 def test_dim_limit_check(r):
     ctx = QContext(r)

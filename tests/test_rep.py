@@ -158,6 +158,39 @@ def test_end_spaces():
     assert len(hom_space(v, w)) == 0
 
 
+def _assert_basis(maps, count):
+    """count maps, orthonormal as vectors, each an intertwiner."""
+    assert len(maps) == count
+    vecs = [f.matrix.ravel() for f in maps]
+    gram = np.array([[u.conj() @ w for w in vecs] for u in vecs]).reshape(count, count)
+    assert np.max(np.abs(gram - np.eye(count)), initial=0.0) < 1e-12
+    assert all(intertwiner_residual(f) < 1e-9 for f in maps)
+
+
+@pytest.mark.parametrize("r", RS)
+def test_hom_space_contract(r):
+    """An orthonormal basis of intertwiners, with End(P(i, l)) = span(Id, x),
+    scalar endomorphisms of simples and generics, no maps between distinct
+    generics (also where their weights overlap), and one map into and one
+    out of a generic's self-extension."""
+    ctx = QContext(r)
+    mod = lambda lab: make_module(ctx, lab)
+    for i in range(r - 1):
+        for k in (-1, 0, 1):
+            p, s = mod(Projective(i, k)), mod(Simple(i, k))
+            _assert_basis(hom_space(p, p), 2)
+            _assert_basis(hom_space(s, s), 1)
+    gens = {a: mod(Typical(a)) for a in ALPHAS + [ALPHAS[0] + 2]}
+    for a, v in gens.items():
+        _assert_basis(hom_space(v, v), 1)
+        for b, w in gens.items():
+            if b != a:
+                _assert_basis(hom_space(v, w), 0)
+        ext = mod(SelfExt(a))
+        _assert_basis(hom_space(v, ext), 1)
+        _assert_basis(hom_space(ext, v), 1)
+
+
 def test_hom_space_memory_on_tensor_pair():
     """The nullspace comes from the thin SVD: P(0,0) x SelfExt(0.3) against its
     reverse at r = 3 stays under 100 MB, where a full U alone takes 430 MB."""
@@ -171,8 +204,7 @@ def test_hom_space_memory_on_tensor_pair():
     finally:
         tracemalloc.stop()
     assert peak < 100e6
-    assert len(maps) == 16
-    assert max(intertwiner_residual(f) for f in maps) < 1e-9
+    _assert_basis(maps, 16)
 
 
 def test_limit_commutation_entrywise():

@@ -1,6 +1,7 @@
 """Regimes, regularized dimensions, fusion, dictionary, comparison engine."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -245,4 +246,8 @@ def test_parse_complex():
     assert parse_complex("1 + 2i") == 1 + 2j
     for bad in ("zebra", "nan", "inf", "1_0", "", "+"):
         with pytest.raises(ValueError):
+            parse_complex(bad)
+    # made only of allowed characters, but malformed: refused by name
+    for bad in ("1e", "1+", "1..2", "i-", "1e400"):
+        with pytest.raises(ValueError, match=f"^bad complex literal '{re.escape(bad)}'$"):
             parse_complex(bad)
